@@ -25,6 +25,8 @@ OK = 0
 STATUS_NOGAP = 1
 STATUS_ILLCOND = 2
 STATUS_DEGENERATE = 3
+# the in-support gap estimator's line has no e2 eigen-chart coefficient
+STATUS_E2ZERO = 4
 
 # alignment ladder: retry unconverged samples with deeper transports
 _LADDER = (40, 80, 160, 200)
@@ -63,24 +65,60 @@ def _seed_for(n: int, k: int, direction: int) -> np.ndarray:
     return h[:, :k].copy() if direction > 0 else h[:, n - k:].copy()
 
 
-def _orthonormalize(frames):
-    """Column-wise Gram-Schmidt with reorthogonalization, batched (B,n,k)."""
-    b, n, k = frames.shape
-    q = np.empty_like(frames)
+def _norms(cols):
+    # Euclidean norms of (n, ...) component-major vectors, summed in order
+    acc = cols[0] * cols[0]
+    for c in cols[1:]:
+        acc = acc + c * c
+    return np.sqrt(acc)
+
+
+def _orthonormalize_cm(cols):
+    """Gram-Schmidt with reorthogonalization on component-major frames
+    (n, k, B): every entry is one contiguous length-B row, so each step is
+    a long elementwise pass and a sample's floats never depend on B."""
+    n, k, b = cols.shape
+    q = np.empty_like(cols)
     ok = np.ones(b, dtype=bool)
     for i in range(k):
-        col = frames[:, :, i]
-        scale = np.linalg.norm(col, axis=1)
+        col = cols[:, i]
+        scale = _norms(col)
         v = col.copy()
         for _ in range(2):
             for j in range(i):
-                coef = np.einsum("bn,bn->b", q[:, :, j], v)
-                v -= coef[:, None] * q[:, :, j]
-        norm = np.linalg.norm(v, axis=1)
+                qj = q[:, j]
+                coef = qj[0] * v[0]
+                for c in range(1, n):
+                    coef = coef + qj[c] * v[c]
+                v -= coef * qj
+        norm = _norms(v)
         bad = ~(norm > 1e-13 * np.maximum(scale, 1e-300))
         ok &= ~bad
-        q[:, :, i] = v / np.where(bad, 1.0, norm)[:, None]
+        q[:, i] = v / np.where(bad, 1.0, norm)
     return q, ok
+
+
+def _orthonormalize(frames):
+    """Column-wise Gram-Schmidt with reorthogonalization, batched (B,n,k)."""
+    q, ok = _orthonormalize_cm(np.ascontiguousarray(np.moveaxis(frames, 0, -1)))
+    return np.ascontiguousarray(np.moveaxis(q, -1, 0)), ok
+
+
+def _times_cm(mat, cols):
+    # per-sample mat @ frame, component-major: mat (n, n, B or 1), cols (n, k, B)
+    out = mat[:, 0, None] * cols[None, 0]
+    for j in range(1, cols.shape[0]):
+        out = out + mat[:, j, None] * cols[None, j]
+    return out
+
+
+def _push_cm(lin, hit, jac, cols):
+    """Component-major frames (n, k, B) pushed by a differential given as
+    (lin, hit, jac): lin at every sample except rows hit, which use jac."""
+    out = _times_cm(lin[:, :, None], cols)
+    if hit.size:
+        out[:, :, hit] = _times_cm(np.moveaxis(jac, 0, -1), cols[:, :, hit])
+    return out
 
 
 def max_principal_angle(p, q) -> float:
@@ -124,26 +162,25 @@ def _transport_pair(map_, xs, k, m, direction):
         for t in range(total):
             y = map_.inverse_apply(y)
             orbit[total - 1 - t] = y
-        jac_at = map_.differential
+        jac_at = map_.differential_parts
     else:
         for t in range(total):
             y = map_.apply(y)
             orbit[total - 1 - t] = y
-        jac_at = map_.inverse_differential
+        jac_at = map_.inverse_differential_parts
     seed = _seed_for(n, k, direction)
-    f_long = np.broadcast_to(seed, (b, n, k)).copy()
+    f_long = np.broadcast_to(seed[:, :, None], (n, k, b)).copy()
     f_short = f_long.copy()
     ok = np.ones(b, dtype=bool)
     for t in range(total):
-        jac = jac_at(orbit[t])
-        f_long = np.einsum("bij,bjk->bik", jac, f_long)
-        f_long, good = _orthonormalize(f_long)
+        parts = jac_at(orbit[t])
+        f_long, good = _orthonormalize_cm(_push_cm(*parts, f_long))
         ok &= good
         if t >= 5:
-            f_short = np.einsum("bij,bjk->bik", jac, f_short)
-            f_short, good = _orthonormalize(f_short)
+            f_short, good = _orthonormalize_cm(_push_cm(*parts, f_short))
             ok &= good
-    return f_long, f_short, ok
+    return (np.ascontiguousarray(np.moveaxis(f_long, -1, 0)),
+            np.ascontiguousarray(np.moveaxis(f_short, -1, 0)), ok)
 
 
 def _aligned_frames(map_, xs, k, m, direction):
@@ -232,8 +269,7 @@ def intersect_frames(p, q):
     proj_p = eye - np.einsum("bnk,bmk->bnm", po, po)
     proj_q = eye - np.einsum("bnk,bmk->bnm", qo, qo)
     stacked = np.concatenate([proj_p, proj_q], axis=1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    _, _, vt = np.linalg.svd(stacked)
+    _, svals, vt = np.linalg.svd(stacked)
     frames = np.swapaxes(vt[:, n - d:, :], 1, 2)
     thin = svals[:, n - d - 1] < _INTERSECT_SV_TOL
     status = np.where(thin & (status == OK), STATUS_ILLCOND, status).astype(np.int8)

@@ -40,6 +40,7 @@ from .lyapunov import (
     integrated_exponent,
     qr_spectrum,
     splitting_exponents,
+    support_gap,
 )
 from .smallmat import WedgeIndex, char_poly, eigen_real, int_det
 from .torusmap import TorusMap
@@ -336,11 +337,19 @@ def _detect_prechecks(map_, eigen):
                 f"config.map.rotations[{idx}].plane: the detector measures "
                 "the weak-unstable foliation, rotations must mix "
                 "eigen-directions 1 and 2")
+    overlaps = map_.support_overlaps()
+    if overlaps:
+        i, j = overlaps[0]
+        raise ConfigError(
+            f"config.map.rotations[{j}]: support overlaps the support of "
+            f"rotations[{i}] on the torus; the detector samples each "
+            "support separately and needs them disjoint")
 
 
 def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
-    """Preflights, exact chi, measured lambda, verdict. Stages run in order
-    and the first failed gate aborts the rest with INCONCLUSIVE."""
+    """Preflights, exact chi, the gap measured inside the rotation supports,
+    verdict. Stages run in order and the first failed gate aborts the rest
+    with INCONCLUSIVE."""
     det = config.detect
     mc = config.mc
     eigen = eigen_real(map_.linear)
@@ -402,12 +411,11 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     lam_est = lam_se = gap = None
     if failed is None:
         try:
-            measurement = integrated_exponent(
-                map_, BundleSelector(foliation), mc["samples"], m=mc["batch"],
-                seed=mc["seed"], threads=threads)
+            measurement = support_gap(map_, mc["samples"], m=mc["batch"],
+                                      seed=mc["seed"], threads=threads)
         except (NoGap, IllConditionedIntersection, DegenerateFrame) as e:
             preflights["rejections"] = {"error": str(e), "passed": False}
-            failed = "exponent"
+            failed = "rejections"
         if measurement is not None:
             rate = measurement["rejected"] / measurement["N"]
             rej_ok = rate <= _REJECT_RATE_LIMIT
@@ -417,9 +425,9 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
             if not rej_ok:
                 failed = "rejections"
             else:
-                lam_est = measurement["estimate"]
+                gap = measurement["estimate"]
                 lam_se = measurement["stderr"]
-                gap = lam_est - chi
+                lam_est = chi + gap
 
     if failed is not None:
         verdict = INCONCLUSIVE

@@ -195,10 +195,20 @@ def _refine_segments(disk_state, map_, seed_point, frame, delta, budget, step):
     raise RuntimeError("refinement did not settle; delta may be degenerate")
 
 
-def _unique_edges(cells):
+def _edge_keys(cells):
+    """Triangle sides (3T, 2) and one int64 key per undirected side; keys
+    order like the sorted vertex pairs, so a 1-D unique on them replaces a
+    much slower row-wise unique."""
     raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
-    undirected = np.sort(raw, axis=1)
-    edges, inverse = np.unique(undirected, axis=0, return_inverse=True)
+    undirected = np.sort(raw, axis=1).astype(np.int64)
+    base = int(undirected.max(initial=0)) + 1
+    return raw, undirected[:, 0] * base + undirected[:, 1], base
+
+
+def _unique_edges(cells):
+    _, keys, base = _edge_keys(cells)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    edges = np.column_stack([uniq // base, uniq % base])
     tri_edge = inverse.reshape(3, -1).T
     return edges, tri_edge
 
@@ -399,11 +409,8 @@ class CurrentValue:
 
 
 def _boundary_edges(cells):
-    raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
-    undirected = np.sort(raw, axis=1)
-    _, inverse, counts = np.unique(
-        undirected, axis=0, return_inverse=True, return_counts=True
-    )
+    raw, keys, _ = _edge_keys(cells)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return raw[counts[inverse] == 1]
 
 
@@ -444,7 +451,8 @@ def current_eval(disk: LeafDisk, forms=None) -> CurrentValue:
             ga = form.coefficient(ends[0][None, :])[0]
             gb = form.coefficient(ends[1][None, :])[0]
             boundary_terms[form.label] = float(abs(gb - ga) / vol)
-    else:
+    elif forms:
+        # the boundary edge set is a full edge dedup; build it only if used
         bedges = _boundary_edges(disk.cells)
         pa = pts[bedges[:, 0]]
         pb = pts[bedges[:, 1]]

@@ -2,10 +2,12 @@
 
 The integrated exponent of a bundle is the volume integral of the one-step
 restricted log-Jacobian, estimated by plain Monte Carlo against Lebesgue
-measure (invariant by construction here). Sample points are pregenerated
-from the seed in one pass and processed in fixed-size chunks, so estimates
-are byte-identical for any worker count and the per-sample values never
-depend on which batch a point rode in.
+measure (invariant by construction here). The detector's weak-unstable gap
+uses an integrand that vanishes off the rotation supports, so it samples
+only inside them (support_gap). Sample points are pregenerated from the
+seed in one pass and processed in fixed-size chunks, so estimates are
+byte-identical for any worker count and the per-sample values never depend
+on which batch a point rode in.
 """
 from __future__ import annotations
 
@@ -14,11 +16,21 @@ from math import sqrt
 
 import numpy as np
 
-from .bundles import OK, bundle_frames, splitting_frames
+from .bundles import (
+    OK,
+    STATUS_DEGENERATE,
+    STATUS_E2ZERO,
+    bundle_frames,
+    splitting_frames,
+)
 from .homology import BundleSelector
 from .smallmat import k_volume
 
 CHUNK = 20000
+
+# an e2 chart coefficient at or below this fraction of |e2 row of L^-1|
+# (the largest it can be for a unit vector) counts as vanished
+_E2_TOL = 1e-12
 
 
 class DegenerateFrame(RuntimeError):
@@ -87,11 +99,20 @@ def _chunk_slices(n):
     return [slice(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
 
 
-def _bundle_values(map_, pts, selector, m, threads=None):
-    """Per-point restricted log-Jacobians over bundle frames: (vals, ok, m)."""
+def _volume_logs(map_, xs, frames):
+    vals, ok = _one_step_logs(map_, xs, frames)
+    return vals, np.where(ok, OK, STATUS_DEGENERATE)
+
+
+def _bundle_values(map_, pts, selector, m, threads=None, logs=_volume_logs):
+    """Per-point values of logs(map_, xs, frames) over bundle frames.
+
+    Returns (vals, status, m): status is the per-sample code, OK for a
+    usable value, else the first failure of the transport or of logs.
+    """
     n_pts = pts.shape[0]
     vals = np.empty(n_pts)
-    ok = np.zeros(n_pts, dtype=bool)
+    status = np.empty(n_pts, dtype=np.int8)
     if not map_.rotations:
         map_.eigen  # cache before any worker pool touches it
     used = [0] * len(_chunk_slices(n_pts))
@@ -99,10 +120,10 @@ def _bundle_values(map_, pts, selector, m, threads=None):
     def work(idx_sl):
         idx, sl = idx_sl
         xs = pts[sl]
-        frames, status, m_used = bundle_frames(map_, xs, selector, m)
-        v, good = _one_step_logs(map_, xs, frames)
+        frames, st, m_used = bundle_frames(map_, xs, selector, m)
+        v, st_logs = logs(map_, xs, frames)
         vals[sl] = v
-        ok[sl] = good & (status == OK)
+        status[sl] = np.where(st == OK, st_logs, st)
         used[idx] = m_used
 
     jobs = list(enumerate(_chunk_slices(n_pts)))
@@ -112,7 +133,7 @@ def _bundle_values(map_, pts, selector, m, threads=None):
     else:
         for job in jobs:
             work(job)
-    return vals, ok, max(used) if used else 0
+    return vals, status, max(used) if used else 0
 
 
 def _spread(valid):
@@ -138,8 +159,8 @@ def integrated_exponent(map_, selector: BundleSelector, N, m=None, seed=0,
     if N < 1:
         raise ValueError("need at least one sample")
     pts = np.random.default_rng(seed).random((N, map_.n))
-    vals, ok, m_used = _bundle_values(map_, pts, selector, m, threads)
-    valid = vals[ok]
+    vals, status, m_used = _bundle_values(map_, pts, selector, m, threads)
+    valid = vals[status == OK]
     if valid.size == 0:
         raise DegenerateFrame("every sample was rejected")
     est, stderr = _spread(valid)
@@ -152,6 +173,67 @@ def integrated_exponent(map_, selector: BundleSelector, N, m=None, seed=0,
         "seed": int(seed),
         "rejected": int(N - valid.size),
     }
+
+
+def _chart_line_logs(eigen):
+    """Per-sample g = ln|e2(L^-1 Df v)| - ln|e2(L^-1 v)| - ln|lambda_2| for
+    line frames v, with L the eigenvector chart."""
+    row = np.linalg.inv(eigen.vectors)[1]
+    ln_rate = float(np.log(abs(eigen.values[1])))
+
+    def logs(map_, xs, frames):
+        v = frames[:, :, 0]
+        moved = np.einsum("bij,bj->bi", map_.differential(xs), v)
+        c0 = np.einsum("i,bi->b", row, v)
+        c1 = np.einsum("i,bi->b", row, moved)
+        floor = _E2_TOL * np.linalg.norm(row)
+        ok = (np.abs(c0) > floor) & (np.abs(c1) > floor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.log(np.abs(c1 / c0)) - ln_rate
+        vals[~ok] = 0.0
+        return vals, np.where(ok, OK, STATUS_E2ZERO)
+
+    return logs
+
+
+def support_gap(map_, N, m=None, seed=0, threads=None) -> dict:
+    """Weak-unstable integrated exponent minus ln|lambda_2|, sampled only
+    inside the rotation supports.
+
+    Measure the line E^wu in the eigen-chart metric |v|' = |e2 coefficient
+    of L^-1 v|. Every rotation acts in chart plane (1, 2), so the unstable
+    plane is invariant and, wherever Df = A, the line's one-step log-stretch
+    in this metric is exactly ln|lambda_2|: the integrand
+    g = ln|e2(L^-1 Df v)| - ln|e2(L^-1 v)| - ln|lambda_2| vanishes off the
+    supports. The metric change adds a coboundary of a bounded function, so
+    the integral of g is the gap, and with disjoint supports
+    gap = vol(support) * E[g(x), x uniform in the support].
+
+    The caller guarantees plane (1, 2) and disjoint supports; the detector
+    checks both. A linear map has no support and its gap is exactly 0 +- 0.
+    Samples whose transport fails or whose e2 coefficient vanishes
+    (STATUS_E2ZERO) are excluded and counted in "rejected".
+    """
+    selector = BundleSelector((2,))
+    selector.validate_for(map_.n)
+    N = int(N)
+    if N < 1:
+        raise ValueError("need at least one sample")
+    volume = map_.support_volume
+    out = {"bundle": [2], "N": N, "seed": int(seed), "support_volume": volume}
+    if not map_.rotations:
+        return {**out, "estimate": 0.0, "stderr": 0.0, "m": 0, "rejected": 0,
+                "support_samples": 0}
+    logs = _chart_line_logs(map_.eigen)
+    pts = map_.sample_support(N, seed)
+    vals, status, m_used = _bundle_values(map_, pts, selector, m, threads, logs)
+    valid = vals[status == OK]
+    if valid.size == 0:
+        raise DegenerateFrame("every sample was rejected")
+    est, stderr = _spread(valid)
+    return {**out, "estimate": volume * est, "stderr": volume * stderr,
+            "m": int(m_used), "rejected": int(N - valid.size),
+            "support_samples": N}
 
 
 def splitting_exponents(map_, N, m=None, seed=0) -> dict:
@@ -230,8 +312,8 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, m=None) -> dict:
     for j in range(n):
         orbit[j] = y[0]
         y = map_.apply(y)
-    vals, ok, m_used = _bundle_values(map_, orbit, selector, m)
-    valid = vals[ok]
+    vals, status, m_used = _bundle_values(map_, orbit, selector, m)
+    valid = vals[status == OK]
     if valid.size == 0:
         raise DegenerateFrame("every orbit sample was rejected")
     if valid.size > 1 and np.ptp(valid) > 0.0:

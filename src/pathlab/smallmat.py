@@ -90,11 +90,11 @@ class UnimodularMatrix:
                 for j in range(n):
                     minor = [row[:j] + row[j + 1:] for ri, row in enumerate(m) if ri != i]
                     adj[j][i] = (-1) ** (i + j) * int_det(minor)
-            inv = [[self.det * adj[i][j] for j in range(n)] for i in range(n)]
-            out = UnimodularMatrix(inv)
-            prod = self.entries @ out.entries
-            assert np.array_equal(prod, np.eye(n, dtype=np.int64))
-            self._inverse = out
+            inv = np.array([[self.det * adj[i][j] for j in range(n)]
+                            for i in range(n)], dtype=np.int64)
+            if not np.array_equal(self.entries @ inv, np.eye(n, dtype=np.int64)):
+                raise ArithmeticError("adjugate inverse is not exact")
+            self._inverse = UnimodularMatrix(inv)
         return self._inverse
 
     def __repr__(self):
@@ -130,7 +130,8 @@ def char_poly(a) -> list[int]:
         m = arr @ (m + c * ident)
         tr = sum(int(m[i, i]) for i in range(n))
         q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r != 0:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         c = q
         coeffs.append(c)
     return coeffs

@@ -12,6 +12,9 @@ the last axis.
 """
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import numpy as np
 
 from .smallmat import EigenData, UnimodularMatrix, eigen_real
@@ -19,6 +22,9 @@ from .smallmat import EigenData, UnimodularMatrix, eigen_real
 # profile values below exp(1 - 1/eps) are flushed to an exact zero so the
 # derivative formula never evaluates 0 * inf near the support boundary
 _EDGE = 1e-3
+
+# in-support Jacobians are built this many rows at a time
+_JACOBIAN_ROWS = 4096
 
 
 class SupportTooLarge(ValueError):
@@ -52,15 +58,22 @@ def _wrap_half(d):
 def _apply_matrix(points, mat):
     # row-wise mat @ p with a fixed accumulation order; BLAS matmul kernels
     # may round differently for different batch sizes, and leaf refinement
-    # recomputes nodes in batches of varying size expecting identical floats
-    out = points[..., 0, None] * mat[:, 0]
-    for k in range(1, mat.shape[1]):
-        out = out + points[..., k, None] * mat[:, k]
+    # recomputes nodes in batches of varying size expecting identical floats.
+    # One output component at a time keeps every pass over the long batch axis
+    cols = [points[..., k] for k in range(mat.shape[1])]
+    out = np.empty(points.shape[:-1] + (mat.shape[0],))
+    for i, row in enumerate(mat):
+        acc = cols[0] * row[0]
+        for k in range(1, len(cols)):
+            acc = acc + cols[k] * row[k]
+        out[..., i] = acc
     return out
 
 
 def _mod1(y):
-    y = y % 1.0
+    # y - floor(y) equals y % 1.0 bit for bit (both add the same integer,
+    # with the same rounding) at a quarter of the cost
+    y = y - np.floor(y)
     y[y == 1.0] = 0.0
     return y
 
@@ -111,15 +124,21 @@ class LocalizedRotation:
         out = np.broadcast_to(np.eye(n), (b, n, n)).copy()
         u = self.chart_coords(points)
         r = np.linalg.norm(u, axis=-1)
-        mask = r < self.rho
-        if not np.any(mask):
-            return out
-        rm = r[mask]
+        inside = np.flatnonzero(r < self.rho)
+        # in-support rows go in blocks, so the (rows, n, n) temporaries stay
+        # small even when a whole batch lies inside the support
+        for lo in range(0, len(inside), _JACOBIAN_ROWS):
+            rows = inside[lo:lo + _JACOBIAN_ROWS]
+            out[rows] = self._inside_differential(u[rows], r[rows], sign)
+        return out
+
+    def _inside_differential(self, um, rm, sign):
+        """Jacobians (m, n, n) at in-support rows with chart coords um, radii rm."""
+        n = self.n
         psi, dpsi = bump_profile(rm, self.rho, self.theta_max)
         psi = sign * psi
         dpsi = sign * dpsi
         i, j = self.plane
-        um = u[mask]
         ui = um[:, i]
         uj = um[:, j]
         c = np.cos(psi)
@@ -136,8 +155,25 @@ class LocalizedRotation:
         w[:, j] = c * ui - s * uj
         coef = np.where(rm > 0.0, dpsi / np.where(rm > 0.0, rm, 1.0), 0.0)
         du += w[:, :, None] * (um * coef[:, None])[:, None, :]
-        out[mask] = np.einsum("ab,mbc,cd->mad", self.chart, du, self.chart_inv)
-        return out
+        return np.einsum("ab,mbc,cd->mad", self.chart, du, self.chart_inv)
+
+    @property
+    def support_volume(self) -> float:
+        """Lebesgue volume of the support on the torus: |det L| V_n rho^n."""
+        ball = math.pi ** (self.n / 2) / math.gamma(self.n / 2 + 1) * self.rho ** self.n
+        return abs(float(np.linalg.det(self.chart))) * ball
+
+    def support_points(self, normals, radial):
+        """Points uniform in the support, built row by row from raw draws.
+
+        normals (B, n) standard normal pick the chart direction and radial
+        (B,) uniform in [0, 1) the chart radius rho * radial^(1/n); the point
+        is x = c + L u mod 1.
+        """
+        normals = np.asarray(normals, dtype=float)
+        scale = self.rho * np.asarray(radial, dtype=float) ** (1.0 / self.n)
+        u = normals * (scale / np.linalg.norm(normals, axis=-1))[:, None]
+        return _mod1(self.center + _apply_matrix(u, self.chart))
 
     def to_dict(self):
         return {
@@ -239,55 +275,106 @@ class TorusMap:
         y = _mod1(y)
         return y[0] if scalar else y
 
+    def differential_parts(self, x):
+        """Df at a batch as (A, rows, jac): Df = A at every row except the
+        listed ones, which lie inside a support and carry jac (rows, n, n).
+
+        Off every support the rotations are the identity and Df = A exactly,
+        so only rows inside a support compose the rotation Jacobians.
+        """
+        pts, _ = self._batch(x)
+        hit = np.flatnonzero(self.support_mask(pts))
+        if not hit.size:
+            return self._a, hit, np.empty((0, self.n, self.n))
+        y = pts[hit]
+        rots = self.rotations[::-1]
+        jac = rots[0].differential(y, +1)
+        # a rotation's transform only feeds the next one's Jacobian
+        for done, rot in zip(rots, rots[1:]):
+            y = done.transform(y, +1)
+            jac = np.einsum("bij,bjk->bik", rot.differential(y, +1), jac)
+        return self._a, hit, np.einsum("ij,bjk->bik", self._a, jac)
+
+    def inverse_differential_parts(self, x):
+        """D(f^-1) as (A^-1, rows, jac), like differential_parts: the rows
+        are those whose A^-1 x lies inside a support."""
+        pts, _ = self._batch(x)
+        y = _apply_matrix(pts, self._a_inv)
+        hit = np.flatnonzero(self.support_mask(y))
+        jac = np.broadcast_to(self._a_inv, (hit.size, self.n, self.n)).copy()
+        if hit.size:
+            y = y[hit]
+            for k, rot in enumerate(self.rotations):
+                if k:
+                    y = self.rotations[k - 1].transform(y, -1)
+                jac = np.einsum("bij,bjk->bik", rot.differential(y, -1), jac)
+        return self._a_inv, hit, jac
+
+    @staticmethod
+    def _assemble(parts, b):
+        lin, hit, jac = parts
+        out = np.broadcast_to(lin, (b,) + lin.shape).copy()
+        out[hit] = jac
+        return out
+
     def differential(self, x):
         pts, scalar = self._batch(x)
-        b = pts.shape[0]
-        if not self.rotations:
-            jac = np.broadcast_to(self._a, (b, self.n, self.n)).copy()
-            return jac[0] if scalar else jac
-        jac = None
-        y = pts
-        for rot in reversed(self.rotations):
-            step = rot.differential(y, +1)
-            jac = step if jac is None else np.einsum("bij,bjk->bik", step, jac)
-            y = rot.transform(y, +1)
-        jac = np.einsum("ij,bjk->bik", self._a, jac)
+        jac = self._assemble(self.differential_parts(pts), pts.shape[0])
         return jac[0] if scalar else jac
 
     def inverse_differential(self, x):
         pts, scalar = self._batch(x)
-        b = pts.shape[0]
-        if not self.rotations:
-            jac = np.broadcast_to(self._a_inv, (b, self.n, self.n)).copy()
-            return jac[0] if scalar else jac
-        y = _apply_matrix(pts, self._a_inv)
-        jac = np.broadcast_to(self._a_inv, (b, self.n, self.n)).copy()
-        for rot in self.rotations:
-            step = rot.differential(y, -1)
-            jac = np.einsum("bij,bjk->bik", step, jac)
-            y = rot.transform(y, -1)
+        jac = self._assemble(self.inverse_differential_parts(pts), pts.shape[0])
         return jac[0] if scalar else jac
 
-    def apply_and_differential(self, x):
-        """One forward step with its Jacobian, sharing the rotation sweep."""
-        pts, scalar = self._batch(x)
-        b = pts.shape[0]
-        y = pts
-        jac = None
-        for rot in reversed(self.rotations):
-            step = rot.differential(y, +1)
-            jac = step if jac is None else np.einsum("bij,bjk->bik", step, jac)
-            y = rot.transform(y, +1)
-        if jac is None:
-            jac = np.broadcast_to(self._a, (b, self.n, self.n)).copy()
-        else:
-            jac = np.einsum("ij,bjk->bik", self._a, jac)
-        y = _mod1(_apply_matrix(y, self._a))
-        if scalar:
-            return y[0], jac[0]
-        return y, jac
-
     # ---------------------------------------------------------------- misc
+
+    @property
+    def support_volume(self) -> float:
+        return float(sum(rot.support_volume for rot in self.rotations))
+
+    def support_overlaps(self):
+        """Index pairs (i, j), i < j, of rotations whose supports meet.
+
+        Both supports are chart balls under the same chart L, so they meet
+        iff some lattice translate of the center offset has chart length
+        below rho_i + rho_j. Such a translate d + k has Euclidean length
+        below |L| (rho_i + rho_j) < 1 by the embedding guard, so with d
+        wrapped to [-1/2, 1/2)^n only k in {-1, 0, 1}^n can qualify.
+        """
+        shifts = np.array(list(product((-1.0, 0.0, 1.0), repeat=self.n)))
+        pairs = []
+        for i, a in enumerate(self.rotations):
+            for j in range(i + 1, len(self.rotations)):
+                b = self.rotations[j]
+                d = _wrap_half(b.center - a.center) + shifts
+                dist = np.linalg.norm(_apply_matrix(d, a.chart_inv), axis=-1)
+                if dist.min() < a.rho + b.rho:
+                    pairs.append((i, j))
+        return pairs
+
+    def sample_support(self, samples, seed):
+        """Points uniform in the union of the (disjoint) rotation supports.
+
+        Every draw comes from the seed in one pass before any point is
+        built: a uniform that picks the support with probability
+        proportional to its volume, a normal direction and a uniform
+        radius. A point's floats therefore depend only on its own draws.
+        """
+        if not self.rotations:
+            raise ValueError("a linear map has no rotation support to sample")
+        samples = int(samples)
+        rng = np.random.default_rng(seed)
+        pick = rng.random(samples)
+        normals = rng.standard_normal((samples, self.n))
+        radial = rng.random(samples)
+        vols = np.array([rot.support_volume for rot in self.rotations])
+        which = np.searchsorted(np.cumsum(vols)[:-1] / vols.sum(), pick, side="right")
+        pts = np.empty((samples, self.n))
+        for idx, rot in enumerate(self.rotations):
+            sel = which == idx
+            pts[sel] = rot.support_points(normals[sel], radial[sel])
+        return pts
 
     def support_mask(self, x):
         pts, scalar = self._batch(x)

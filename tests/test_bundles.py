@@ -13,6 +13,8 @@ from pathlab.bundles import (
     IllConditionedIntersection,
     NoGap,
     SplittingFrame,
+    _orthonormalize,
+    _push_cm,
     bundle_frames,
     closedness_condition_check,
     domination_check,
@@ -311,3 +313,48 @@ def test_closedness_perturbed_positive(perturbed_map):
     rep = closedness_condition_check(perturbed_map, sel, steps=4, samples=48, seed=7)
     assert rep["holds"] is True
     assert rep["margin"] > 0
+
+
+# ------------------------------------------------------- per-sample batching
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_orthonormalize_is_per_sample(seed, b, k):
+    frames = np.random.default_rng(seed).standard_normal((b, 3, k))
+    q, ok = _orthonormalize(frames)
+    assert ok.all()
+    gram = np.einsum("bnk,bnl->bkl", q, q)
+    assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+    # same span: the input columns have no component off the output span
+    resid = frames - np.einsum("bnk,bkl->bnl", q, np.einsum("bnk,bnl->bkl", q, frames))
+    assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.max(np.abs(frames)))
+    for i in range(b):
+        qi, oki = _orthonormalize(frames[i:i + 1])
+        assert np.array_equal(qi[0], q[i]) and oki[0]
+
+
+def test_push_matches_dense_differential(perturbed_map):
+    rng = np.random.default_rng(22)
+    xs = np.vstack([rng.random((200, 3)), perturbed_map.sample_support(100, 6),
+                    perturbed_map.apply(perturbed_map.sample_support(100, 7))])
+    frames = rng.standard_normal((xs.shape[0], 3, 2))
+    cols = np.ascontiguousarray(np.moveaxis(frames, 0, -1))
+    for parts, dense in (
+            (perturbed_map.differential_parts(xs), perturbed_map.differential(xs)),
+            (perturbed_map.inverse_differential_parts(xs),
+             perturbed_map.inverse_differential(xs))):
+        assert parts[1].size >= 100
+        pushed = np.moveaxis(_push_cm(*parts, cols), -1, 0)
+        ref = np.einsum("bij,bjk->bik", dense, frames)
+        assert np.allclose(pushed, ref, rtol=1e-14, atol=1e-14)
+
+
+def test_frames_do_not_depend_on_batch(perturbed_map):
+    xs = np.vstack([np.random.default_rng(21).random((40, 3)),
+                    perturbed_map.sample_support(20, 5)])
+    sel = BundleSelector((2,))
+    whole, st_whole, _ = bundle_frames(perturbed_map, xs, sel)
+    for part in (slice(0, 1), slice(3, 17), slice(35, 60)):
+        frames, status, _ = bundle_frames(perturbed_map, xs[part], sel)
+        assert np.array_equal(frames, whole[part])
+        assert np.array_equal(status, st_whole[part])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from pathlab.homology import BundleSelector, topological_growth
 from pathlab.leafgrowth import (
     BadRadius,
+    _boundary_edges,
+    _unique_edges,
     BudgetExceeded,
     CurrentValue,
     asymptotic_cycle,
@@ -405,3 +407,18 @@ def test_track_growth_records(cat_map):
         "n", "volume", "ln_volume", "ratio", "nodes", "truncated",
         "components", "boundary_terms",
     }
+
+
+# ------------------------------------------------------------- edge tables
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(3, 300))
+@settings(max_examples=30, deadline=None)
+def test_edge_tables_match_rowwise_unique(seed, tris, nodes):
+    cells = np.random.default_rng(seed).integers(0, nodes, size=(tris, 3))
+    raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
+    ref, inverse, counts = np.unique(np.sort(raw, axis=1), axis=0,
+                                     return_inverse=True, return_counts=True)
+    edges, tri_edge = _unique_edges(cells)
+    assert np.array_equal(edges, ref)
+    assert np.array_equal(tri_edge, inverse.reshape(3, -1).T)
+    assert np.array_equal(_boundary_edges(cells), raw[counts[inverse.ravel()] == 1])

@@ -1,18 +1,25 @@
 """Spectra and integrated exponents against eigenvalue-log oracles."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlab import lyapunov
+from pathlab.bundles import OK, STATUS_E2ZERO
 from pathlab.homology import BundleSelector
 from pathlab.lyapunov import (
     DegenerateFrame,
+    _bundle_values,
+    _chart_line_logs,
     birkhoff_exponent,
     integrated_exponent,
     one_step_log_jacobian,
     qr_spectrum,
+    support_gap,
 )
 from pathlab.smallmat import UnimodularMatrix, eigen_real
 from pathlab.torusmap import TorusMap, build_localized_rotation
@@ -25,6 +32,10 @@ CAT_EIGS = [2.618033988749895, 0.3819660112501051]
 COMPANION_EIGS = [3.2469796037174667, 1.5549581320873718, 0.1980622641951617]
 
 X0 = np.array([0.2, 0.35, 0.81])
+
+# pooled detector calibration: its map and its weak-unstable gap
+CALIBRATION = json.loads(
+    (Path(__file__).parent / "baselines.json").read_text())["detect_gap"]
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +217,60 @@ def test_birkhoff_agrees_with_integrated(perturbed_map):
     orbit = birkhoff_exponent(perturbed_map, sel, X0, n=20000)
     joint = math.sqrt(mc["stderr"] ** 2 + orbit["stderr"] ** 2)
     assert abs(mc["estimate"] - orbit["estimate"]) <= 3 * joint
+
+
+# ---------------------------------------------------------------- in-support gap
+
+def test_chart_line_identity_off_support(perturbed_map):
+    xs = np.random.default_rng(8).random((6000, 3))
+    xs = xs[~perturbed_map.support_mask(xs)][:4000]
+    sel = BundleSelector((2,))
+    vals, status, _ = _bundle_values(perturbed_map, xs, sel, None,
+                                     logs=_chart_line_logs(perturbed_map.eigen))
+    assert np.all(status == OK)
+    assert np.max(np.abs(vals)) < 1e-13
+
+
+def test_chart_line_flags_vanishing_e2(perturbed_map):
+    # the strong-unstable eigenvector has no e2 chart coefficient
+    v1 = perturbed_map.eigen.vectors[:, 0]
+    frames = np.broadcast_to((v1 / np.linalg.norm(v1))[:, None], (3, 3, 1)).copy()
+    xs = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], CENTER])
+    vals, status = _chart_line_logs(perturbed_map.eigen)(perturbed_map, xs, frames)
+    assert np.all(status == STATUS_E2ZERO)
+    assert np.all(np.isfinite(vals))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
+@settings(max_examples=8, deadline=None)
+def test_gap_values_independent_of_chunks_and_threads(seed, chunk, threads):
+    map_ = TorusMap.from_dict(CALIBRATION["map"])
+    pts = map_.sample_support(40, seed)
+    sel = BundleSelector((2,))
+    logs = _chart_line_logs(map_.eigen)
+    whole, st_whole, _ = _bundle_values(map_, pts, sel, None, logs=logs)
+    saved = lyapunov.CHUNK
+    lyapunov.CHUNK = chunk
+    try:
+        split, st_split, _ = _bundle_values(map_, pts, sel, None, threads, logs)
+    finally:
+        lyapunov.CHUNK = saved
+    assert np.array_equal(whole, split)
+    assert np.array_equal(st_whole, st_split)
+
+
+def test_support_gap_matches_calibration():
+    rep = support_gap(TorusMap.from_dict(CALIBRATION["map"]), N=5000, seed=2)
+    assert rep["rejected"] == 0
+    assert rep["support_samples"] == 5000
+    assert rep["stderr"] > 0.0
+    joint = 3.0 * math.hypot(rep["stderr"], CALIBRATION["gap_stderr"])
+    assert abs(rep["estimate"] - CALIBRATION["gap"]) <= joint
+
+
+def test_support_gap_linear_is_exactly_zero(linear_map):
+    rep = support_gap(linear_map, N=1000, seed=0)
+    assert (rep["estimate"], rep["stderr"]) == (0.0, 0.0)
+    assert (rep["support_volume"], rep["support_samples"]) == (0.0, 0)
+    with pytest.raises(ValueError):
+        support_gap(linear_map, N=0)

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from pathlab import experiments
 from pathlab.cli import main
 from pathlab.config import ConfigError, ExperimentConfig
 from pathlab.experiments import (
@@ -19,6 +20,7 @@ from pathlab.experiments import (
     cmd_growth,
     cmd_sweep,
 )
+from pathlab.lyapunov import DegenerateFrame
 
 CAT = [[2, 1], [1, 1]]
 COMPANION = [[0, 0, 1], [1, 0, -6], [0, 1, 5]]
@@ -226,6 +228,38 @@ def test_detect_unperturbed_control_hits_gap_floor():
     assert rep["lambda_stderr"] == 0.0
     # the raw significance test is vacuous at stderr zero; the floor decides
     assert abs(rep["gap"]) < 1e-9
+
+
+def test_detect_measures_inside_the_support():
+    rep = cmd_detect(ExperimentConfig.from_dict(detect_config()))
+    meas = rep["measurement"]
+    assert meas["support_samples"] == meas["N"] == 4000
+    assert 0.0 < meas["support_volume"] < 1e-3
+    assert rep["gap"] == meas["estimate"]
+    assert rep["lambda_stderr"] == meas["stderr"] > 0.0
+    assert rep["lambda_estimate"] == rep["chi"] + rep["gap"]
+
+
+def test_detect_estimator_failure_gates_rejections(monkeypatch):
+    def fail(*args, **kwargs):
+        raise DegenerateFrame("every sample was rejected")
+
+    monkeypatch.setattr(experiments, "support_gap", fail)
+    rep = cmd_detect(ExperimentConfig.from_dict(detect_config()))
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["failed_stage"] == "rejections"
+    assert rep["preflights"]["rejections"]["passed"] is False
+    assert "every sample" in rep["preflights"]["rejections"]["error"]
+    assert rep["measurement"] is None and rep["gap"] is None
+
+
+def test_detect_rejects_overlapping_supports():
+    cfg = detect_config()
+    shifted = [CENTER[0] + 0.01, CENTER[1], CENTER[2]]
+    cfg["map"]["rotations"].append({"center": shifted, "plane": [1, 2],
+                                    "rho": 0.05, "theta_max": 0.2})
+    with pytest.raises(ConfigError, match=r"config\.map\.rotations\[1\]: support overlaps"):
+        cmd_detect(ExperimentConfig.from_dict(cfg))
 
 
 def test_detect_wild_rotation_is_inconclusive():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlab import smallmat
 from pathlab.smallmat import (
     DegenerateSpectrum,
     NonRealSpectrum,
@@ -126,6 +127,18 @@ def test_triangular_products_are_unimodular():
     assert np.array_equal(m.entries @ inv.entries, np.eye(2, dtype=np.int64))
 
 
+def test_inexact_inverse_raises(monkeypatch):
+    m = UnimodularMatrix(COMPANION)
+    exact = smallmat.int_det
+
+    def off_by_one_minors(rows):
+        return exact(rows) + (1 if len(rows) < m.n else 0)
+
+    monkeypatch.setattr(smallmat, "int_det", off_by_one_minors)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        m.inverse()
+
+
 # ---------------------------------------------------------------- char poly
 
 def test_char_poly_cat_map():
@@ -134,6 +147,15 @@ def test_char_poly_cat_map():
 
 def test_char_poly_companion():
     assert char_poly(COMPANION) == [1, -5, 6, -1]
+
+
+def test_char_poly_inexact_division_raises(monkeypatch):
+    # with a doubled identity the cat map's trace recurrence leaves 11 / 2
+    doubled = smallmat._identity_object
+
+    monkeypatch.setattr(smallmat, "_identity_object", lambda n: 2 * doubled(n))
+    with pytest.raises(ArithmeticError, match="exact"):
+        char_poly(CAT)
 
 
 @given(st.integers(2, 5), st.data())

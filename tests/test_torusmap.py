@@ -5,11 +5,15 @@ volume preservation against LAPACK determinants of the assembled Jacobians.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlab.smallmat import DegenerateSpectrum, UnimodularMatrix, eigen_real
 from pathlab.torusmap import (
     SupportTooLarge,
     TorusMap,
+    _apply_matrix,
+    _mod1,
     build_localized_rotation,
 )
 
@@ -325,3 +329,138 @@ def test_cat_map_rotation_round_trip():
     assert np.max(wrap_dist(back, x)) < 1e-12
     dets = np.linalg.det(m.differential(x))
     assert np.max(np.abs(dets - 1.0)) < 1e-12
+
+
+# ------------------------------------------------------------- support sampling
+
+def test_sampled_points_lie_in_support(perturbed_map):
+    pts = perturbed_map.sample_support(20000, seed=3)
+    assert pts.shape == (20000, 3)
+    assert np.all((pts >= 0.0) & (pts < 1.0))
+    assert perturbed_map.support_mask(pts).all()
+
+
+def test_two_supports_sampled_by_volume():
+    a = UnimodularMatrix(COMPANION)
+    eig = eigen_real(a)
+    far = [(c + 0.5) % 1.0 for c in CENTER]
+    rots = [build_localized_rotation(eig, center=c, plane=(2, 1), rho=rho,
+                                     theta_max=0.3)
+            for c, rho in ((CENTER, 0.05), (far, 0.08))]
+    map_ = TorusMap(a, rots)
+    assert map_.support_volume == pytest.approx(
+        rots[0].support_volume + rots[1].support_volume, rel=1e-15)
+    n = 20000
+    pts = map_.sample_support(n, seed=5)
+    assert map_.support_mask(pts).all()
+    share = np.count_nonzero(TorusMap(a, rots[:1]).support_mask(pts)) / n
+    p = rots[0].support_volume / map_.support_volume
+    assert abs(share - p) <= 3.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def test_support_volume_matches_mask_hit_rate(perturbed_map):
+    n = 1_000_000
+    hits = np.count_nonzero(
+        perturbed_map.support_mask(np.random.default_rng(4).random((n, 3))))
+    p = perturbed_map.support_volume
+    assert abs(hits / n - p) <= 3.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 59), st.integers(1, 60))
+@settings(max_examples=25, deadline=None)
+def test_support_points_do_not_depend_on_batch(seed, lo, hi):
+    a = UnimodularMatrix(COMPANION)
+    rot = build_localized_rotation(eigen_real(a), center=CENTER, plane=(2, 1),
+                                   rho=0.12, theta_max=0.5)
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((60, 3))
+    radial = rng.random(60)
+    lo, hi = min(lo, hi), max(lo, hi)
+    whole = rot.support_points(normals, radial)
+    part = rot.support_points(normals[lo:hi], radial[lo:hi])
+    assert np.array_equal(whole[lo:hi], part)
+
+
+def test_support_overlaps_on_the_torus():
+    a = UnimodularMatrix(COMPANION)
+    eig = eigen_real(a)
+    far = [(c + 0.5) % 1.0 for c in CENTER]
+    rots = [build_localized_rotation(eig, center=c, plane=(2, 1), rho=0.05,
+                                     theta_max=0.3) for c in (CENTER, far)]
+    assert TorusMap(a, rots).support_overlaps() == []
+    # a small shift across the unit-cube face overlaps only through the wrap
+    wrapped = build_localized_rotation(eig, center=[0.999, 0.02, 0.5],
+                                       plane=(2, 1), rho=0.05, theta_max=0.3)
+    twin = build_localized_rotation(eig, center=[0.004, 0.02, 0.5],
+                                    plane=(2, 1), rho=0.05, theta_max=0.3)
+    assert TorusMap(a, [rots[0], wrapped, twin]).support_overlaps() == [(1, 2)]
+    same = build_localized_rotation(eig, center=CENTER, plane=(2, 1), rho=0.05,
+                                    theta_max=0.1)
+    assert TorusMap(a, rots + [same]).support_overlaps() == [(0, 2)]
+
+
+def test_linear_map_has_no_support(linear_map):
+    assert linear_map.support_volume == 0.0
+    assert linear_map.support_overlaps() == []
+    with pytest.raises(ValueError, match="no rotation support"):
+        linear_map.sample_support(10, seed=0)
+
+
+# ------------------------------------------------------- sparse differentials
+
+def test_differential_parts_cover_the_support(perturbed_map):
+    rng = np.random.default_rng(11)
+    pts = np.vstack([rng.random((3000, 3)), perturbed_map.sample_support(500, 2)])
+    lin, hit, jac = perturbed_map.differential_parts(pts)
+    mask = perturbed_map.support_mask(pts)
+    assert np.array_equal(hit, np.flatnonzero(mask))
+    full = perturbed_map.differential(pts)
+    assert np.array_equal(full[hit], jac)
+    assert np.array_equal(full[~mask], np.broadcast_to(lin, (np.count_nonzero(~mask), 3, 3)))
+    assert np.array_equal(lin, perturbed_map.linear.as_float())
+
+
+def test_inverse_differential_parts_cover_the_preimage_support(perturbed_map):
+    rng = np.random.default_rng(12)
+    inside = perturbed_map.sample_support(500, 4)
+    pts = np.vstack([rng.random((3000, 3)), perturbed_map.apply(inside)])
+    lin, hit, jac = perturbed_map.inverse_differential_parts(pts)
+    mask = perturbed_map.support_mask(perturbed_map.inverse_apply(pts))
+    assert np.array_equal(hit, np.flatnonzero(mask))
+    assert np.all(mask[3000:])
+    full = perturbed_map.inverse_differential(pts)
+    assert np.array_equal(full[hit], jac)
+    assert np.array_equal(full[~mask], np.broadcast_to(lin, (np.count_nonzero(~mask), 3, 3)))
+
+
+def test_linear_differential_parts_are_empty(linear_map):
+    pts = np.random.default_rng(13).random((50, 3))
+    for parts in (linear_map.differential_parts(pts),
+                  linear_map.inverse_differential_parts(pts)):
+        lin, hit, jac = parts
+        assert hit.size == 0 and jac.shape == (0, 3, 3)
+
+
+def test_mod1_matches_float_remainder():
+    rng = np.random.default_rng(14)
+    y = np.concatenate([rng.uniform(-40.0, 40.0, 20000), -rng.random(200) * 1e-17,
+                        [0.0, -0.0, 1.0, -1.0, 3.0, -2.5]])
+    ref = y % 1.0
+    ref[ref == 1.0] = 0.0
+    out = _mod1(y)
+    assert np.array_equal(out, ref)
+    assert np.all((out >= 0.0) & (out < 1.0))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_apply_matrix_is_rowwise_fixed_order(seed, rows, n):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((rows, n))
+    mat = rng.standard_normal((n, n))
+    out = _apply_matrix(pts, mat)
+    for r in range(rows):
+        acc = pts[r, 0] * mat[:, 0]
+        for k in range(1, n):
+            acc = acc + pts[r, k] * mat[:, k]
+        assert np.array_equal(out[r], acc)

@@ -132,7 +132,8 @@ def _csv_table(command, report):
 
 def _headline(command, report):
     if command == "detect":
-        return f"verdict {report['verdict']}"
+        z = "null" if report["z"] is None else f"{report['z']:.1f}"
+        return f"verdict {report['verdict']} (z = {z})"
     if command == "sweep":
         counts = {}
         for c in report["cells"]:

@@ -279,7 +279,7 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
             "exponents": [float(v) for v in expo],
         })
     flag = splitting_exponents(map_, mc["samples"], m=mc["batch"],
-                               seed=mc["seed"])
+                               seed=mc["seed"], threads=threads)
     bundles = flag["bundles"]
     rejected_max = flag["rejected"] / flag["N"]
     total = flag["sum"]
@@ -289,7 +289,8 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     integrated = integrated_exponent(map_, sel, mc["samples"], m=mc["batch"],
                                      seed=mc["seed"], threads=threads)
     x0 = np.random.default_rng(mc["seed"] + 202).random(n)
-    birkhoff = birkhoff_exponent(map_, sel, x0, exp["orbit"], m=mc["batch"])
+    birkhoff = birkhoff_exponent(map_, sel, x0, exp["orbit"], m=mc["batch"],
+                                 threads=threads)
     rejected_max = max(rejected_max,
                        integrated["rejected"] / integrated["N"],
                        birkhoff["rejected"] / birkhoff["N"])
@@ -344,6 +345,15 @@ def _detect_prechecks(map_, eigen):
             f"config.map.rotations[{j}]: support overlaps the support of "
             f"rotations[{i}] on the torus; the detector samples each "
             "support separately and needs them disjoint")
+
+
+def _significance(gap, stderr, samples):
+    """z = gap / stderr, and the samples a 3-sigma verdict needs at this
+    stderr, N (3 stderr / gap)^2; null where the ratio is undefined."""
+    if gap is None or not stderr:
+        return {"z": None, "samples_for_3sigma": None}
+    need = samples * (3.0 * stderr / gap) ** 2 if gap else None
+    return {"z": gap / stderr, "samples_for_3sigma": need}
 
 
 def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
@@ -411,8 +421,8 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     lam_est = lam_se = gap = None
     if failed is None:
         try:
-            measurement = support_gap(map_, mc["samples"], m=mc["batch"],
-                                      seed=mc["seed"], threads=threads)
+            measurement = support_gap(map_, mc["samples"], seed=mc["seed"],
+                                      threads=threads)
         except (NoGap, IllConditionedIntersection, DegenerateFrame) as e:
             preflights["rejections"] = {"error": str(e), "passed": False}
             failed = "rejections"
@@ -450,6 +460,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
         failed_stage=failed,
     )
     report = v.to_dict()
+    report.update(_significance(gap, lam_se, mc["samples"]))
     report["measurement"] = measurement
     report["map"] = map_.to_dict()
     return report

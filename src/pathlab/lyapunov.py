@@ -2,15 +2,20 @@
 
 The integrated exponent of a bundle is the volume integral of the one-step
 restricted log-Jacobian, estimated by plain Monte Carlo against Lebesgue
-measure (invariant by construction here). The detector's weak-unstable gap
-uses an integrand that vanishes off the rotation supports, so it samples
-only inside them (support_gap). Sample points are pregenerated from the
-seed in one pass and processed in fixed-size chunks, so estimates are
-byte-identical for any worker count and the per-sample values never depend
-on which batch a point rode in.
+measure (invariant by construction here) over transported frames. The
+detector's weak-unstable gap (support_gap) transports no frames: its
+chart-metric integrand vanishes off the rotation supports, equals a closed
+form of the chart point at every support point whose orbit does not come
+back, and otherwise needs only the chart Jacobians at the returns. So the
+gap is an exact quadrature of that closed form plus a Monte Carlo
+correction from the few samples that return. Sample points are
+pregenerated from the seed in one pass and processed in fixed-size chunks,
+so estimates are byte-identical for any worker count and the per-sample
+values never depend on which batch a point rode in.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from math import sqrt
 
@@ -20,6 +25,7 @@ from .bundles import (
     OK,
     STATUS_DEGENERATE,
     STATUS_E2ZERO,
+    NoGap,
     bundle_frames,
     splitting_frames,
 )
@@ -28,8 +34,8 @@ from .smallmat import k_volume
 
 CHUNK = 20000
 
-# an e2 chart coefficient at or below this fraction of |e2 row of L^-1|
-# (the largest it can be for a unit vector) counts as vanished
+# an e2 chart coefficient of the line at or below this fraction of its
+# chart length counts as vanished
 _E2_TOL = 1e-12
 
 
@@ -99,16 +105,23 @@ def _chunk_slices(n):
     return [slice(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
 
 
-def _volume_logs(map_, xs, frames):
-    vals, ok = _one_step_logs(map_, xs, frames)
-    return vals, np.where(ok, OK, STATUS_DEGENERATE)
+def _run_chunks(n_pts, work, threads=None):
+    """work(idx, sl) on every fixed-size chunk of n_pts rows, in order on
+    one thread or in a pool; each chunk writes only its own rows."""
+    jobs = list(enumerate(_chunk_slices(n_pts)))
+    if threads and int(threads) > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            list(pool.map(lambda job: work(*job), jobs))
+    else:
+        for job in jobs:
+            work(*job)
 
 
-def _bundle_values(map_, pts, selector, m, threads=None, logs=_volume_logs):
-    """Per-point values of logs(map_, xs, frames) over bundle frames.
+def _bundle_values(map_, pts, selector, m, threads=None):
+    """Per-point one-step log-Jacobians over bundle frames.
 
     Returns (vals, status, m): status is the per-sample code, OK for a
-    usable value, else the first failure of the transport or of logs.
+    usable value, else the first failure of the transport or of the volume.
     """
     n_pts = pts.shape[0]
     vals = np.empty(n_pts)
@@ -117,22 +130,15 @@ def _bundle_values(map_, pts, selector, m, threads=None, logs=_volume_logs):
         map_.eigen  # cache before any worker pool touches it
     used = [0] * len(_chunk_slices(n_pts))
 
-    def work(idx_sl):
-        idx, sl = idx_sl
+    def work(idx, sl):
         xs = pts[sl]
         frames, st, m_used = bundle_frames(map_, xs, selector, m)
-        v, st_logs = logs(map_, xs, frames)
+        v, ok = _one_step_logs(map_, xs, frames)
         vals[sl] = v
-        status[sl] = np.where(st == OK, st_logs, st)
+        status[sl] = np.where(st == OK, np.where(ok, OK, STATUS_DEGENERATE), st)
         used[idx] = m_used
 
-    jobs = list(enumerate(_chunk_slices(n_pts)))
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(work, jobs))
-    else:
-        for job in jobs:
-            work(job)
+    _run_chunks(n_pts, work, threads)
     return vals, status, max(used) if used else 0
 
 
@@ -175,68 +181,199 @@ def integrated_exponent(map_, selector: BundleSelector, N, m=None, seed=0,
     }
 
 
-def _chart_line_logs(eigen):
-    """Per-sample g = ln|e2(L^-1 Df v)| - ln|e2(L^-1 v)| - ln|lambda_2| for
-    line frames v, with L the eigenvector chart."""
-    row = np.linalg.inv(eigen.vectors)[1]
-    ln_rate = float(np.log(abs(eigen.values[1])))
+# ------------------------------------------------ in-support weak-unstable gap
 
-    def logs(map_, xs, frames):
-        v = frames[:, :, 0]
-        moved = np.einsum("bij,bj->bi", map_.differential(xs), v)
-        c0 = np.einsum("i,bi->b", row, v)
-        c1 = np.einsum("i,bi->b", row, moved)
-        floor = _E2_TOL * np.linalg.norm(row)
-        ok = (np.abs(c0) > floor) & (np.abs(c1) > floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(np.abs(c1 / c0)) - ln_rate
-        vals[~ok] = 0.0
-        return vals, np.where(ok, OK, STATUS_E2ZERO)
-
-    return logs
+def horizon(eigen) -> int:
+    """Forward steps the covector pull-back looks ahead: the smallest T with
+    |lambda_2 / lambda_1|^T < 2^-53, past which a visit moves no bit of g."""
+    ratio = abs(float(eigen.values[1]) / float(eigen.values[0]))
+    # equal moduli up to the eigensolver's relative tolerance, as for +-lambda
+    if not ratio < 1.0 - 1e-10:
+        raise NoGap("|lambda_1| = |lambda_2|: the weak-unstable line has no gap")
+    return int(math.floor(53.0 * math.log(2.0) / -math.log(ratio))) + 1
 
 
-def support_gap(map_, N, m=None, seed=0, threads=None) -> dict:
-    """Weak-unstable integrated exponent minus ln|lambda_2|, sampled only
-    inside the rotation supports.
+def _line_logs(block, normal):
+    """g = ln|R'22 - R'21 n2/n1| and status at base points with chart block
+    R' (2, 2, B) and hyperplane chart normal n = (n1, n2) (2, B).
+
+    The line E^wu is (n2, -n1, 0, ...) in chart coordinates, so this is
+    ln|J'22 - J'21 n2/n1| - ln|lambda_2| with J' = diag(lambda) R'. A line
+    with a vanishing e2 coefficient, before or after the step, is
+    STATUS_E2ZERO.
+    """
+    n1, n2 = normal
+    size = np.hypot(n1, n2)
+    moved = block[1, 1] * n1 - block[1, 0] * n2
+    ok = (np.abs(n1) > _E2_TOL * size) & (np.abs(moved) > _E2_TOL * size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(np.abs(block[1, 1] - block[1, 0] * (n2 / n1)))
+    vals[~ok] = 0.0
+    return vals, np.where(ok, OK, STATUS_E2ZERO).astype(np.int8)
+
+
+def _line_values(map_, xs, steps):
+    """Per-sample (g, g0, returned, status) of the chart-metric integrand.
+
+    The hyperplane E^{2..n} has a chart normal n with n(x) = J'(x)^T n(f x).
+    Its first two components evolve by the (1, 2) block alone, and off the
+    supports only n2/n1 changes, by lambda_2/lambda_1 per step. So each
+    sample steps forward `steps` times, keeps the chart blocks of its
+    visits to a support, and pulls back the seed normal e1* from step
+    steps + 1. A sample with no visit has n(f x) = e1* exactly, where
+    g = -ln|R'11(x)| = g0 because det R' = 1 (returned is False).
+    """
+    q = float(map_.eigen.values[1]) / float(map_.eigen.values[0])
+    b = xs.shape[0]
+    visits = []
+    y = xs
+    for k in range(1, steps + 1):
+        y = map_.apply(y)
+        hit = np.flatnonzero(map_.support_mask(y))
+        if hit.size:
+            visits.append((k, hit, map_.chart_blocks(y[hit])))
+    n1 = np.ones(b)
+    n2 = np.zeros(b)
+    last = np.full(b, steps + 1)
+    for k, hit, blk in reversed(visits):
+        m1 = n1[hit]
+        m2 = n2[hit] * q ** (last[hit] - k)
+        a1 = blk[0, 0] * m1 + blk[1, 0] * m2
+        a2 = blk[0, 1] * m1 + blk[1, 1] * m2
+        size = np.hypot(a1, a2)
+        n1[hit] = a1 / size
+        n2[hit] = a2 / size
+        last[hit] = k
+    block = map_.chart_blocks(xs)
+    m2 = n2 * q ** last
+    normal = (block[0, 0] * n1 + block[1, 0] * m2,
+              block[0, 1] * n1 + block[1, 1] * m2)
+    g, status = _line_logs(block, normal)
+    with np.errstate(divide="ignore"):
+        g0 = -np.log(np.abs(block[0, 0]))
+    returned = last <= steps
+    return g, g0, returned, status
+
+
+def _support_values(map_, pts, steps, threads=None):
+    """_line_values over fixed-size chunks, on one thread or a pool."""
+    n_pts = pts.shape[0]
+    g, g0 = np.empty(n_pts), np.empty(n_pts)
+    returned = np.empty(n_pts, dtype=bool)
+    status = np.empty(n_pts, dtype=np.int8)
+    map_.eigen  # cache before any worker pool touches it
+
+    def work(idx, sl):
+        g[sl], g0[sl], returned[sl], status[sl] = _line_values(map_, pts[sl], steps)
+
+    _run_chunks(n_pts, work, threads)
+    return g, g0, returned, status
+
+
+# nested tensor rules (nt, nalpha, nv) for the twist integral (twist_mean).
+# The coarse rule alone is converged below 1e-13 relative on the
+# calibration map, so |fine - coarse| is a conservative error bar for the
+# fine value.
+_TWIST_RULES = ((80, 24, 24), (160, 48, 48))
+# radial nodes per slab of the twist rules
+_SLAB = 4
+
+
+def twist_mean(rot, rule) -> float:
+    """Mean of g0 = -ln|R'11(u)| over the rotation's chart ball of radius
+    rho, by the tensor rule rule = (nt, nalpha, nv), one radial slab at a
+    time.
+
+    g0 depends on u only through t = |u|/rho and (u1, u2) = |u| sqrt(s)
+    (cos alpha, sin alpha), with s ~ Beta(1, (n-2)/2): s = 1 - (1-v)^(2/(n-2))
+    for v uniform. The v rule runs in w = (1-v)^(1/(n-2)), where s = 1 - w^2
+    and dv = (n-2) w^(n-3) dw, so its integrand is smooth in every dimension.
+    """
+    nt, na, nv = rule
+    n = rot.n
+    x, w = np.polynomial.legendre.leggauss(nt)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * w * n * t ** (n - 1)
+    x, w = np.polynomial.legendre.leggauss(nv)
+    root = 0.5 * (x + 1.0)
+    wv = 0.5 * w * (n - 2) * root ** (n - 3)
+    # g0 sees (u1, u2) only through quadratic terms: alpha has period pi
+    alpha = np.pi * np.arange(na) / na
+    radial = np.sqrt(1.0 - root * root)[:, None]
+    e1 = radial * np.cos(alpha)
+    e2 = radial * np.sin(alpha)
+    total = 0.0
+    for lo in range(0, nt, _SLAB):
+        r = rot.rho * t[lo:lo + _SLAB, None, None]
+        b11 = rot.chart_block(r * e1, r * e2, r)[0]
+        total += float(wt[lo:lo + _SLAB] @ (np.log(np.abs(b11)).sum(axis=2) @ wv))
+    return -total / na
+
+
+def twist_term(map_):
+    """Sum over rotations of vol_i * I0_i by the fine rule, and its error
+    sum of vol_i * |fine - coarse|."""
+    value = error = 0.0
+    for rot in map_.rotations:
+        coarse, fine = (twist_mean(rot, rule) for rule in _TWIST_RULES)
+        value += rot.support_volume * fine
+        error += rot.support_volume * abs(fine - coarse)
+    return float(value), float(error)
+
+
+def support_gap(map_, N, seed=0, threads=None) -> dict:
+    """Weak-unstable integrated exponent minus ln|lambda_2|, from an exact
+    twist integral plus a Monte Carlo correction inside the supports.
 
     Measure the line E^wu in the eigen-chart metric |v|' = |e2 coefficient
-    of L^-1 v|. Every rotation acts in chart plane (1, 2), so the unstable
-    plane is invariant and, wherever Df = A, the line's one-step log-stretch
-    in this metric is exactly ln|lambda_2|: the integrand
-    g = ln|e2(L^-1 Df v)| - ln|e2(L^-1 v)| - ln|lambda_2| vanishes off the
-    supports. The metric change adds a coboundary of a bounded function, so
-    the integral of g is the gap, and with disjoint supports
+    of L^-1 v|. Every rotation acts in chart plane (1, 2), so off the
+    supports the line's one-step log-stretch in this metric is exactly
+    ln|lambda_2| and the integrand g vanishes; the metric change adds a
+    coboundary of a bounded function, so with disjoint supports
     gap = vol(support) * E[g(x), x uniform in the support].
+
+    At a sample whose forward orbit never re-enters a support g equals
+    g0 = -ln|R'11|, whose mean I0_i over each chart ball is a deterministic
+    integral (twist_mean). So, as a control variate with exactly known mean,
+    gap = sum_i vol_i I0_i + vol * E[g - g0], where g - g0 is exactly 0 for
+    the samples that do not return within the horizon. The stderr adds the
+    quadrature error and the Monte Carlo stderr of the correction in
+    quadrature.
 
     The caller guarantees plane (1, 2) and disjoint supports; the detector
     checks both. A linear map has no support and its gap is exactly 0 +- 0.
-    Samples whose transport fails or whose e2 coefficient vanishes
-    (STATUS_E2ZERO) are excluded and counted in "rejected".
+    Samples whose line has a vanishing e2 coefficient (STATUS_E2ZERO) are
+    excluded from the correction and counted in "rejected".
     """
-    selector = BundleSelector((2,))
-    selector.validate_for(map_.n)
     N = int(N)
     if N < 1:
         raise ValueError("need at least one sample")
     volume = map_.support_volume
     out = {"bundle": [2], "N": N, "seed": int(seed), "support_volume": volume}
     if not map_.rotations:
-        return {**out, "estimate": 0.0, "stderr": 0.0, "m": 0, "rejected": 0,
-                "support_samples": 0}
-    logs = _chart_line_logs(map_.eigen)
+        return {**out, "estimate": 0.0, "stderr": 0.0, "rejected": 0,
+                "support_samples": 0, "twist_integral": 0.0,
+                "quadrature_error": 0.0, "return_correction": 0.0,
+                "return_stderr": 0.0, "returned": 0, "horizon": 0}
+    steps = horizon(map_.eigen)
+    twist, quad_err = twist_term(map_)
     pts = map_.sample_support(N, seed)
-    vals, status, m_used = _bundle_values(map_, pts, selector, m, threads, logs)
-    valid = vals[status == OK]
-    if valid.size == 0:
+    g, g0, returned, status = _support_values(map_, pts, steps, threads)
+    ok = status == OK
+    if not ok.any():
         raise DegenerateFrame("every sample was rejected")
-    est, stderr = _spread(valid)
-    return {**out, "estimate": volume * est, "stderr": volume * stderr,
-            "m": int(m_used), "rejected": int(N - valid.size),
-            "support_samples": N}
+    corr, corr_se = _spread(np.where(returned, g - g0, 0.0)[ok])
+    corr, corr_se = volume * corr, volume * corr_se
+    return {**out, "estimate": twist + corr,
+            "stderr": math.hypot(quad_err, corr_se),
+            "rejected": int(N - np.count_nonzero(ok)), "support_samples": N,
+            "twist_integral": twist, "quadrature_error": quad_err,
+            "return_correction": corr, "return_stderr": corr_se,
+            "returned": int(np.count_nonzero(returned & ok)),
+            "horizon": steps}
 
 
-def splitting_exponents(map_, N, m=None, seed=0) -> dict:
+def splitting_exponents(map_, N, m=None, seed=0, threads=None) -> dict:
     """Integrated exponents of every line of the full splitting in one pass.
 
     A shared QR factorization per sample covers all n lines, so the
@@ -253,8 +390,9 @@ def splitting_exponents(map_, N, m=None, seed=0) -> dict:
     pts = np.random.default_rng(seed).random((N, n))
     per = np.zeros((N, n))
     ok = np.zeros(N, dtype=bool)
-    m_used = 0
-    for sl in _chunk_slices(N):
+    used = [0] * len(_chunk_slices(N))
+
+    def work(idx, sl):
         xs = pts[sl]
         blocks, status, m_fwd, m_bwd = splitting_frames(map_, xs, (1,) * n, m)
         v = np.concatenate(blocks, axis=2)
@@ -267,7 +405,10 @@ def splitting_exponents(map_, N, m=None, seed=0) -> dict:
         vals[~good] = 0.0
         per[sl] = vals
         ok[sl] = good
-        m_used = max(m_used, int(m_fwd), int(m_bwd))
+        used[idx] = max(int(m_fwd), int(m_bwd))
+
+    _run_chunks(N, work, threads)
+    m_used = max(used)
     valid = per[ok]
     if valid.shape[0] == 0:
         raise DegenerateFrame("every sample was rejected")
@@ -296,7 +437,8 @@ def splitting_exponents(map_, N, m=None, seed=0) -> dict:
     }
 
 
-def birkhoff_exponent(map_, selector: BundleSelector, x0, n, m=None) -> dict:
+def birkhoff_exponent(map_, selector: BundleSelector, x0, n, m=None,
+                      threads=None) -> dict:
     """Time average of the restricted log-Jacobian along one orbit.
 
     Cross-validates the space average; the stderr comes from batch means
@@ -312,7 +454,7 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, m=None) -> dict:
     for j in range(n):
         orbit[j] = y[0]
         y = map_.apply(y)
-    vals, status, m_used = _bundle_values(map_, orbit, selector, m)
+    vals, status, m_used = _bundle_values(map_, orbit, selector, m, threads)
     valid = vals[status == OK]
     if valid.size == 0:
         raise DegenerateFrame("every orbit sample was rejected")

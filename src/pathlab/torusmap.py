@@ -157,6 +157,31 @@ class LocalizedRotation:
         du += w[:, :, None] * (um * coef[:, None])[:, None, :]
         return np.einsum("ab,mbc,cd->mad", self.chart, du, self.chart_inv)
 
+    def chart_block(self, u1, u2, r):
+        """Entries (b11, b12, b21, b22) of the chart-axes (1, 2) block of the
+        rotation's chart Jacobian R'(u) = L^-1 Dh L, at in-support chart
+        points with first two coordinates u1, u2 and chart radius r; the
+        arrays broadcast. For a rotation in chart plane {1, 2} these two
+        rows carry the whole twist: rows 3..n of R' are identity rows.
+        """
+        if set(self.plane) != {0, 1}:
+            raise ValueError("the chart (1, 2) block needs a rotation in chart plane {1, 2}")
+        psi, dpsi = bump_profile(r, self.rho, self.theta_max)
+        c = np.cos(psi)
+        s = np.sin(psi)
+        coef = np.where(r > 0.0, dpsi / np.where(r > 0.0, r, 1.0), 0.0)
+        ui, uj = (u1, u2) if self.plane[0] == 0 else (u2, u1)
+        # the same entries as _inside_differential's du in rows and columns (i, j)
+        wi = -s * ui - c * uj
+        wj = c * ui - s * uj
+        pi = ui * coef
+        pj = uj * coef
+        dii, dij = c + wi * pi, wi * pj - s
+        dji, djj = s + wj * pi, c + wj * pj
+        if self.plane[0] == 0:
+            return dii, dij, dji, djj
+        return djj, dji, dij, dii
+
     @property
     def support_volume(self) -> float:
         """Lebesgue volume of the support on the torus: |det L| V_n rho^n."""
@@ -375,6 +400,28 @@ class TorusMap:
             sel = which == idx
             pts[sel] = rot.support_points(normals[sel], radial[sel])
         return pts
+
+    def chart_blocks(self, x):
+        """Chart-axes (1, 2) block of the rotations' chart Jacobian R' at a
+        batch, component-major (2, 2, B); the identity off every support.
+
+        With every rotation in chart plane {1, 2} and disjoint supports, the
+        chart Jacobian L^-1 Df L is diag(lambda) R'. Rows 3..n of R' are
+        identity rows, so the first two components of a chart covector
+        pulled back by its transpose depend on this block alone.
+        """
+        pts, _ = self._batch(x)
+        blk = np.zeros((2, 2, pts.shape[0]))
+        blk[0, 0] = blk[1, 1] = 1.0
+        for rot in self.rotations:
+            u = rot.chart_coords(pts)
+            r = np.linalg.norm(u, axis=-1)
+            hit = np.flatnonzero(r < rot.rho)
+            if hit.size:
+                b11, b12, b21, b22 = rot.chart_block(u[hit, 0], u[hit, 1], r[hit])
+                blk[0, 0, hit], blk[0, 1, hit] = b11, b12
+                blk[1, 0, hit], blk[1, 1, hit] = b21, b22
+        return blk
 
     def support_mask(self, x):
         pts, scalar = self._batch(x)

@@ -11,11 +11,13 @@ assert is left failing rather than loosened:
   1.62 per step, about 4x faster than the lambda2 heuristic the window is
   built around. The decay-floor and current-component clauses pass.
 
-test_07 and test_08 certify at 3 sigma. The detector samples only inside
-the rotation support, where its weak-unstable integrand is nonzero
-(lyapunov.support_gap), so one 2e5-sample run has a 3.0e-7 noise floor
+test_07 and test_08 certify at 3 sigma. The detector's weak-unstable
+gap is an exact twist quadrature over the rotation supports plus a Monte
+Carlo correction from the in-support samples whose orbits return
+(lyapunov.support_gap), so one 2e5-sample run has a 4.3e-10 noise floor
 against the calibrated gap of +1.0e-5 +- 2.9e-6 (pooled 4.2e6 samples,
-tests/baselines.json). Plain uniform sampling over the torus had 2.1e-5.
+tests/baselines.json). Sampling the plain integrand inside the supports
+had 3.0e-7, and plain uniform sampling over the torus 2.1e-5.
 """
 
 import json
@@ -257,8 +259,8 @@ def test_07_nonabsolute_continuity_detection():
     """Detector on the one-rotation map at its pinned sample budget.
 
     Control, preflights, gap sign, the regression pin against the pooled
-    calibration, and the 3-sigma verdict: at seed 0 the in-support gap is
-    +9.3e-6 +- 3.0e-7 (z = 31).
+    calibration, and the 3-sigma verdict: at seed 0 the gap is
+    +9.2805e-6 +- 4.3e-10 (z = 2.2e4).
     """
     baseline = json.loads(
         (Path(__file__).parent / "baselines.json").read_text())["detect_gap"]
@@ -285,8 +287,8 @@ def test_07_nonabsolute_continuity_detection():
 def test_08_sweep_stability():
     """4x3 parameter sweep: control row, runtime, and verdict stability.
 
-    Every strong cell certifies with the in-support estimator of test_07:
-    at seed 0 the weakest row (theta_max 0.4) reaches z = 24.5.
+    Every strong cell certifies with the estimator of test_07: at seed 0
+    the lowest z of any strong cell is 1.3e4 (theta_max 0.5, rho 0.13).
     """
     t0 = time.perf_counter()
     cfg = ExperimentConfig.from_dict({

@@ -9,23 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlab import lyapunov
-from pathlab.bundles import OK, STATUS_E2ZERO
+from pathlab.bundles import OK, STATUS_E2ZERO, NoGap, bundle_frames
 from pathlab.homology import BundleSelector
 from pathlab.lyapunov import (
+    _TWIST_RULES,
     DegenerateFrame,
-    _bundle_values,
-    _chart_line_logs,
+    _line_logs,
+    _line_values,
+    _support_values,
     birkhoff_exponent,
+    horizon,
     integrated_exponent,
     one_step_log_jacobian,
     qr_spectrum,
     support_gap,
+    twist_mean,
 )
 from pathlab.smallmat import UnimodularMatrix, eigen_real
 from pathlab.torusmap import TorusMap, build_localized_rotation
 
 CAT = [[2, 1], [1, 1]]
 COMPANION = [[0, 0, 1], [1, 0, -6], [0, 1, 5]]
+M4 = [[0, 0, 0, 1], [1, 0, 0, 3], [0, 1, 0, -6], [0, 0, 1, -6]]
 CENTER = [0.31, 0.47, 0.62]
 
 CAT_EIGS = [2.618033988749895, 0.3819660112501051]
@@ -221,22 +226,45 @@ def test_birkhoff_agrees_with_integrated(perturbed_map):
 
 # ---------------------------------------------------------------- in-support gap
 
+def frame_path_logs(map_, xs):
+    """The chart-metric integrand from transported bundle frames: the e2
+    chart coefficient of Df v over that of v, less ln|lambda_2|."""
+    row = np.linalg.inv(map_.eigen.vectors)[1]
+    frames, status, _ = bundle_frames(map_, xs, BundleSelector((2,)))
+    v = frames[:, :, 0]
+    moved = np.einsum("bij,bj->bi", map_.differential(xs), v)
+    vals = np.log(np.abs((moved @ row) / (v @ row)))
+    return vals - math.log(abs(map_.eigen.values[1])), status
+
+
+@pytest.fixture(scope="module")
+def calibration_map():
+    return TorusMap.from_dict(CALIBRATION["map"])
+
+
+@pytest.fixture(scope="module", params=[[1, 2], [2, 1]])
+def map_4d(request):
+    # eigenvalues -4.545, -1.734, 0.522, -0.243: signed lambda_2 / lambda_1
+    return TorusMap.from_dict({"linear": M4, "rotations": [
+        {"center": [0.3, 0.55, 0.7, 0.45], "plane": request.param,
+         "rho": 0.1, "theta_max": 0.6}]})
+
+
 def test_chart_line_identity_off_support(perturbed_map):
     xs = np.random.default_rng(8).random((6000, 3))
     xs = xs[~perturbed_map.support_mask(xs)][:4000]
-    sel = BundleSelector((2,))
-    vals, status, _ = _bundle_values(perturbed_map, xs, sel, None,
-                                     logs=_chart_line_logs(perturbed_map.eigen))
+    vals, _, _, status = _line_values(perturbed_map, xs,
+                                      horizon(perturbed_map.eigen))
     assert np.all(status == OK)
     assert np.max(np.abs(vals)) < 1e-13
 
 
 def test_chart_line_flags_vanishing_e2(perturbed_map):
-    # the strong-unstable eigenvector has no e2 chart coefficient
-    v1 = perturbed_map.eigen.vectors[:, 0]
-    frames = np.broadcast_to((v1 / np.linalg.norm(v1))[:, None], (3, 3, 1)).copy()
+    # the strong-unstable eigenvector has no e2 chart coefficient; as the
+    # line (n2, -n1) its hyperplane has chart normal e2*
     xs = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], CENTER])
-    vals, status = _chart_line_logs(perturbed_map.eigen)(perturbed_map, xs, frames)
+    normal = (np.zeros(3), np.ones(3))
+    vals, status = _line_logs(perturbed_map.chart_blocks(xs), normal)
     assert np.all(status == STATUS_E2ZERO)
     assert np.all(np.isfinite(vals))
 
@@ -246,31 +274,86 @@ def test_chart_line_flags_vanishing_e2(perturbed_map):
 def test_gap_values_independent_of_chunks_and_threads(seed, chunk, threads):
     map_ = TorusMap.from_dict(CALIBRATION["map"])
     pts = map_.sample_support(40, seed)
-    sel = BundleSelector((2,))
-    logs = _chart_line_logs(map_.eigen)
-    whole, st_whole, _ = _bundle_values(map_, pts, sel, None, logs=logs)
+    steps = horizon(map_.eigen)
+    whole = _support_values(map_, pts, steps)
     saved = lyapunov.CHUNK
     lyapunov.CHUNK = chunk
     try:
-        split, st_split, _ = _bundle_values(map_, pts, sel, None, threads, logs)
+        split = _support_values(map_, pts, steps, threads)
     finally:
         lyapunov.CHUNK = saved
-    assert np.array_equal(whole, split)
-    assert np.array_equal(st_whole, st_split)
+    for a, b in zip(whole, split):
+        assert np.array_equal(a, b)
 
 
-def test_support_gap_matches_calibration():
-    rep = support_gap(TorusMap.from_dict(CALIBRATION["map"]), N=5000, seed=2)
+def test_horizon_drowns_the_seed_error(calibration_map):
+    steps = horizon(calibration_map.eigen)
+    ratio = COMPANION_EIGS[1] / COMPANION_EIGS[0]
+    assert steps == 50
+    assert ratio ** steps < 2.0 ** -53 <= ratio ** (steps - 1)
+    # x^4 - 3x^2 + 1 has eigenvalues +-1.618 and +-0.618: no gap to wait out
+    with pytest.raises(NoGap):
+        horizon(eigen_real(UnimodularMatrix(
+            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0]])))
+
+
+def test_line_without_return_is_the_twist_log(calibration_map, map_4d):
+    for map_ in (calibration_map, map_4d):
+        pts = map_.sample_support(3000, 1)
+        g, g0, returned, status = _line_values(map_, pts, horizon(map_.eigen))
+        assert np.all(status == OK)
+        assert 0 < np.count_nonzero(returned) < 300
+        assert np.max(np.abs(g - g0)[~returned]) < 1e-13
+
+
+def test_covector_line_matches_frame_transport(calibration_map, map_4d):
+    for map_ in (calibration_map, map_4d):
+        pts = map_.sample_support(4000, 4)
+        g, _, returned, status = _line_values(map_, pts, horizon(map_.eigen))
+        # every returner of the draw and 300 samples that do not return
+        keep = np.concatenate([np.flatnonzero(returned),
+                               np.flatnonzero(~returned)[:300]])
+        want, frame_status = frame_path_logs(map_, pts[keep])
+        assert np.all(status == OK) and np.all(frame_status == OK)
+        assert np.count_nonzero(returned) >= 5
+        assert np.max(np.abs(g[keep] - want)) < 1e-13
+
+
+def test_twist_rules_agree(calibration_map, map_4d):
+    for rot in (calibration_map.rotations[0], map_4d.rotations[0]):
+        coarse, fine = (twist_mean(rot, rule) for rule in _TWIST_RULES)
+        assert fine > 0.0
+        assert abs(fine - coarse) <= 1e-12 * fine
+
+
+def test_twist_mean_matches_monte_carlo(calibration_map, map_4d):
+    for map_ in (calibration_map, map_4d):
+        pts = map_.sample_support(200000, 6)
+        g0 = -np.log(np.abs(map_.chart_blocks(pts)[0, 0]))
+        sigma = g0.std(ddof=1) / math.sqrt(g0.size)
+        want = twist_mean(map_.rotations[0], _TWIST_RULES[1])
+        assert abs(g0.mean() - want) <= 3.0 * sigma
+
+
+def test_support_gap_matches_calibration(calibration_map):
+    rep = support_gap(calibration_map, N=5000, seed=2)
     assert rep["rejected"] == 0
     assert rep["support_samples"] == 5000
     assert rep["stderr"] > 0.0
     joint = 3.0 * math.hypot(rep["stderr"], CALIBRATION["gap_stderr"])
     assert abs(rep["estimate"] - CALIBRATION["gap"]) <= joint
+    assert rep["estimate"] == rep["twist_integral"] + rep["return_correction"]
+    assert rep["stderr"] == math.hypot(rep["quadrature_error"],
+                                       rep["return_stderr"])
+    assert 0 < rep["returned"] < 500 and rep["horizon"] == 50
+    # the correction is a small fraction of the exact twist term
+    assert abs(rep["return_correction"]) < 1e-2 * rep["twist_integral"]
 
 
 def test_support_gap_linear_is_exactly_zero(linear_map):
     rep = support_gap(linear_map, N=1000, seed=0)
     assert (rep["estimate"], rep["stderr"]) == (0.0, 0.0)
     assert (rep["support_volume"], rep["support_samples"]) == (0.0, 0)
+    assert (rep["twist_integral"], rep["return_correction"], rep["returned"]) == (0.0, 0.0, 0)
     with pytest.raises(ValueError):
         support_gap(linear_map, N=0)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from pathlab import experiments
+from pathlab import experiments, lyapunov
 from pathlab.cli import main
 from pathlab.config import ConfigError, ExperimentConfig
 from pathlab.experiments import (
@@ -228,6 +228,7 @@ def test_detect_unperturbed_control_hits_gap_floor():
     assert rep["lambda_stderr"] == 0.0
     # the raw significance test is vacuous at stderr zero; the floor decides
     assert abs(rep["gap"]) < 1e-9
+    assert rep["z"] is None and rep["samples_for_3sigma"] is None
 
 
 def test_detect_measures_inside_the_support():
@@ -238,6 +239,11 @@ def test_detect_measures_inside_the_support():
     assert rep["gap"] == meas["estimate"]
     assert rep["lambda_stderr"] == meas["stderr"] > 0.0
     assert rep["lambda_estimate"] == rep["chi"] + rep["gap"]
+    assert rep["gap"] == meas["twist_integral"] + meas["return_correction"]
+    assert 0 < meas["returned"] < meas["N"] and meas["horizon"] == 50
+    assert rep["z"] == rep["gap"] / rep["lambda_stderr"] > 3.0
+    assert rep["samples_for_3sigma"] == pytest.approx(
+        4000 * (3.0 * rep["lambda_stderr"] / rep["gap"]) ** 2)
 
 
 def test_detect_estimator_failure_gates_rejections(monkeypatch):
@@ -393,6 +399,35 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
                  "--threads", "3"]) == 0
     for name in ("detect.json", "detect.csv", "runs.jsonl"):
         assert (t1 / name).read_bytes() == (t2 / name).read_bytes(), name
+
+
+def test_cli_exponents_threads_do_not_change_bytes(tmp_path, monkeypatch):
+    # small chunks, so that every estimator runs several of them in the pool
+    monkeypatch.setattr(lyapunov, "CHUNK", 150)
+    cfg = detect_config(samples=600)
+    cfg.update(selector=[2], exponents={"qr_steps": 50, "spectrum_points": 1,
+                                        "orbit": 400})
+    cfg_path = write_config(tmp_path, cfg)
+    files = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert main(["exponents", "--config", cfg_path, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(files[1]) == ["exponents.csv", "exponents.json", "runs.jsonl"]
+    assert files[1] == files[2]
+
+
+def test_cli_detect_headline_shows_z(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, detect_config(samples=1000))
+    assert main(["detect", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "detect.json").read_text())
+    line = capsys.readouterr().out
+    assert line.startswith(
+        f"detect: verdict {report['verdict']} (z = {report['z']:.1f}); ")
+    ctrl_path = write_config(tmp_path, detect_config(theta=0), "ctrl.json")
+    assert main(["detect", "--config", ctrl_path, "--out", str(tmp_path / "c")]) == 0
+    assert "verdict CONSISTENT_WITH_AC (z = null);" in capsys.readouterr().out
 
 
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):

@@ -331,6 +331,28 @@ def test_cat_map_rotation_round_trip():
     assert np.max(np.abs(dets - 1.0)) < 1e-12
 
 
+def test_chart_blocks_are_the_chart_jacobian(perturbed_map):
+    eig = perturbed_map.eigen
+    inside = perturbed_map.sample_support(300, seed=5)
+    pts = np.concatenate([inside, np.random.default_rng(18).random((300, 3))])
+    blk = perturbed_map.chart_blocks(pts)
+    chart = np.linalg.inv(eig.vectors) @ perturbed_map.differential(pts) @ eig.vectors
+    # J' = diag(lambda) R', and rows 3..n of R' are identity rows
+    want = chart[:, :2, :2] / eig.values[:2, None]
+    assert np.allclose(np.moveaxis(blk, -1, 0), want, rtol=0.0, atol=1e-12)
+    assert np.allclose(chart[:, 2:, :], np.diag(eig.values)[2:], rtol=0.0, atol=1e-12)
+    dets = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
+    assert np.max(np.abs(dets - 1.0)) < 1e-13
+    off = ~perturbed_map.support_mask(pts)
+    assert off.any() and not off[:300].any()
+    assert np.array_equal(blk[:, :, off],
+                          np.broadcast_to(np.eye(2)[:, :, None], (2, 2, off.sum())))
+    tilted = build_localized_rotation(eig, center=CENTER, plane=(1, 3), rho=0.12,
+                                      theta_max=0.5)
+    with pytest.raises(ValueError, match="plane"):
+        TorusMap(perturbed_map.linear, [tilted]).chart_blocks(inside)
+
+
 # ------------------------------------------------------------- support sampling
 
 def test_sampled_points_lie_in_support(perturbed_map):

@@ -7,14 +7,17 @@ pseudo-orbit ending at the base point determines the same bundle up to
 O(roundoff), so drift of long backward orbits in the stable directions is
 harmless and no shadowing correction is needed.
 
+Every frame is certified by the alignment ladder: a sample is accepted at
+the first depth m of _LADDER where its frames after m and m + 5 transport
+steps agree within _CAUCHY_TOL, and reports carry the deepest m reached.
+
 Batched entry points return per-sample status codes instead of raising, so
-Monte Carlo callers can count rejected samples; the scalar wrappers raise.
+Monte Carlo callers can count rejected samples; strongest_subbundle is the
+one scalar entry point, and it raises.
 All batched results are per-sample deterministic: a sample's output depends
 only on its own coordinates, never on the batch it rode in.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,6 @@ STATUS_E2ZERO = 4
 # alignment ladder: retry unconverged samples with deeper transports
 _LADDER = (40, 80, 160, 200)
 _CAUCHY_TOL = 1e-9
-_EXPLICIT_GAP_TOL = 1e-6
 _INTERSECT_SV_TOL = 1e-6
 
 
@@ -183,17 +185,11 @@ def _transport_pair(map_, xs, k, m, direction):
             np.ascontiguousarray(np.moveaxis(f_short, -1, 0)), ok)
 
 
-def _aligned_frames(map_, xs, k, m, direction):
+def _aligned_frames(map_, xs, k, direction):
     xs = np.asarray(xs, dtype=float)
     b, n = xs.shape
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    if m is not None:
-        f_long, f_short, ok = _transport_pair(map_, xs, k, int(m), direction)
-        ang = _batch_angles(f_long, f_short)
-        status = np.where(ang > _EXPLICIT_GAP_TOL, STATUS_NOGAP, OK)
-        status = np.where(ok, status, STATUS_DEGENERATE).astype(np.int8)
-        return f_long, status, int(m)
     frames = np.empty((b, n, k))
     status = np.full(b, STATUS_NOGAP, dtype=np.int8)
     pending = np.arange(b)
@@ -212,14 +208,14 @@ def _aligned_frames(map_, xs, k, m, direction):
     return frames, status, m_used
 
 
-def strongest_frames(map_, xs, k, m=None):
+def strongest_frames(map_, xs, k):
     """Batched strongest-k-plane frames: (frames, status, m_used)."""
-    return _aligned_frames(map_, xs, k, m, +1)
+    return _aligned_frames(map_, xs, k, +1)
 
 
-def weakest_frames(map_, xs, k, m=None):
+def weakest_frames(map_, xs, k):
     """Batched weakest-k-plane frames (most contracted directions)."""
-    return _aligned_frames(map_, xs, k, m, -1)
+    return _aligned_frames(map_, xs, k, -1)
 
 
 def _raise_status(code, where):
@@ -232,15 +228,9 @@ def _raise_status(code, where):
     raise NoGap(f"{where}: frames did not settle within the alignment ladder")
 
 
-def strongest_subbundle(map_, x, k, m=None):
-    frames, status, _ = strongest_frames(map_, np.asarray(x, float)[None, :], k, m)
+def strongest_subbundle(map_, x, k):
+    frames, status, _ = strongest_frames(map_, np.asarray(x, float)[None, :], k)
     _raise_status(int(status[0]), "strongest_subbundle")
-    return frames[0]
-
-
-def weakest_subbundle(map_, x, k, m=None):
-    frames, status, _ = weakest_frames(map_, np.asarray(x, float)[None, :], k, m)
-    _raise_status(int(status[0]), "weakest_subbundle")
     return frames[0]
 
 
@@ -281,24 +271,7 @@ def intersect_frames(p, q):
     return frames, status
 
 
-def intersect_planes(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    frames, status = intersect_frames(p[None], q[None])
-    _raise_status(int(status[0]), "intersect_planes")
-    return frames[0]
-
-
-@dataclass(frozen=True)
-class SplittingFrame:
-    x: np.ndarray
-    dims: tuple
-    blocks: tuple
-    m_fwd: int
-    m_bwd: int
-
-
-def splitting_frames(map_, xs, dims, m=None):
+def splitting_frames(map_, xs, dims):
     """Batched splitting into blocks of the given dimensions, strongest first.
 
     Returns (blocks, status, m_fwd, m_bwd) where blocks is a list of
@@ -316,14 +289,14 @@ def splitting_frames(map_, xs, dims, m=None):
     blocks = []
     for i, d in enumerate(dims):
         if i == 0:
-            blk, st, used = strongest_frames(map_, xs, cum[0], m)
+            blk, st, used = strongest_frames(map_, xs, cum[0])
             m_fwd = max(m_fwd, used)
         elif i == len(dims) - 1:
-            blk, st, used = weakest_frames(map_, xs, d, m)
+            blk, st, used = weakest_frames(map_, xs, d)
             m_bwd = max(m_bwd, used)
         else:
-            strong, st_s, used_s = strongest_frames(map_, xs, cum[i], m)
-            weak, st_w, used_w = weakest_frames(map_, xs, n - cum[i - 1], m)
+            strong, st_s, used_s = strongest_frames(map_, xs, cum[i])
+            weak, st_w, used_w = weakest_frames(map_, xs, n - cum[i - 1])
             m_fwd = max(m_fwd, used_s)
             m_bwd = max(m_bwd, used_w)
             blk, st = intersect_frames(strong, weak)
@@ -336,20 +309,7 @@ def splitting_frames(map_, xs, dims, m=None):
     return blocks, status, m_fwd, m_bwd
 
 
-def splitting_at(map_, x, dims, m=None) -> SplittingFrame:
-    x = np.asarray(x, dtype=float)
-    blocks, status, m_fwd, m_bwd = splitting_frames(map_, x[None], dims, m)
-    _raise_status(int(status[0]), "splitting_at")
-    return SplittingFrame(
-        x=x,
-        dims=tuple(int(d) for d in dims),
-        blocks=tuple(blk[0] for blk in blocks),
-        m_fwd=m_fwd,
-        m_bwd=m_bwd,
-    )
-
-
-def bundle_frames(map_, xs, selector: BundleSelector, m=None):
+def bundle_frames(map_, xs, selector: BundleSelector):
     """Frames of the bundle named by a selector, batched: (frames, status, m).
 
     Pure linear maps use exact eigen-direction frames (any selector, frames
@@ -371,11 +331,11 @@ def bundle_frames(map_, xs, selector: BundleSelector, m=None):
             f"selector {selector.indices} must be contiguous for perturbed maps"
         )
     if lo == 1:
-        return strongest_frames(map_, xs, hi, m)
+        return strongest_frames(map_, xs, hi)
     if hi == n:
-        return weakest_frames(map_, xs, n - lo + 1, m)
-    strong, st_s, used_s = strongest_frames(map_, xs, hi, m)
-    weak, st_w, used_w = weakest_frames(map_, xs, n - lo + 1, m)
+        return weakest_frames(map_, xs, n - lo + 1)
+    strong, st_s, used_s = strongest_frames(map_, xs, hi)
+    weak, st_w, used_w = weakest_frames(map_, xs, n - lo + 1)
     frames, st = intersect_frames(strong, weak)
     status = np.maximum(st, np.maximum(st_s, st_w)).astype(np.int8)
     return frames, status, max(used_s, used_w)
@@ -401,7 +361,7 @@ def _sample_points(map_, samples, seed):
     return xs
 
 
-def domination_check(map_, samples=200, l=2, dims=None, m=None, seed=0) -> dict:
+def domination_check(map_, samples=200, l=2, dims=None, seed=0) -> dict:
     """Sampled check of the factor-2 domination between consecutive blocks.
 
     margin = min over samples and block pairs of half the strong/weak
@@ -412,7 +372,7 @@ def domination_check(map_, samples=200, l=2, dims=None, m=None, seed=0) -> dict:
     if dims is None:
         dims = (1,) * n
     xs = _sample_points(map_, samples, seed)
-    blocks, status, _, _ = splitting_frames(map_, xs, dims, m)
+    blocks, status, _, _ = splitting_frames(map_, xs, dims)
     worst = int(status.max(initial=0))
     if worst != OK:
         _raise_status(worst, "domination_check")
@@ -446,7 +406,7 @@ def domination_check(map_, samples=200, l=2, dims=None, m=None, seed=0) -> dict:
 
 
 def closedness_condition_check(map_, selector: BundleSelector, steps=4, samples=200,
-                               m=None, seed=0) -> dict:
+                               seed=0) -> dict:
     """Uniform-gap sufficient condition for closed limit currents.
 
     Compares the largest (k-1)-volume growth over all subframes of the
@@ -460,7 +420,7 @@ def closedness_condition_check(map_, selector: BundleSelector, steps=4, samples=
     if selector.k < 2:
         raise ValueError("closedness check needs a bundle of dimension >= 2")
     xs = _sample_points(map_, samples, seed)
-    frames, status, _ = bundle_frames(map_, xs, selector, m)
+    frames, status, _ = bundle_frames(map_, xs, selector)
     worst = int(status.max(initial=0))
     if worst != OK:
         _raise_status(worst, "closedness_condition_check")

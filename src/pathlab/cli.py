@@ -52,14 +52,18 @@ def _parser():
 
 def _resolve_threads(args):
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PATHLAB_THREADS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"PATHLAB_THREADS: must be an integer, got {env!r}")
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("PATHLAB_THREADS")
+        if env is None:
+            return None
+        try:
+            threads, source = int(env), "PATHLAB_THREADS"
+        except ValueError:
+            raise ConfigError(f"PATHLAB_THREADS: must be an integer, got {env!r}")
+    if threads < 1:
+        raise ConfigError(f"{source}: must be at least 1, got {threads}")
+    return threads
 
 
 def _load(args):

@@ -5,7 +5,6 @@ and every numeric field is range-checked, so a typo fails fast with a
 dotted-path message instead of silently running the wrong experiment.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,12 +27,10 @@ def _reject_unknown(obj, path, allowed):
         raise ConfigError(f"{path}: unknown keys {unknown}")
 
 
-def _int_field(obj, key, path, default, lo=None, hi=None, optional=False):
+def _int_field(obj, key, path, default, lo=None, hi=None):
     if key not in obj:
         return default
     v = obj[key]
-    if optional and v is None:
-        return None
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: must be an integer")
     if lo is not None and v < lo:
@@ -95,7 +92,7 @@ def _selector(value, path, n=None):
 
 _TOP_KEYS = ("map", "selector", "leaf", "mc", "detect", "sweep", "exponents", "out")
 
-_MC_DEFAULTS = {"samples": 200000, "batch": None, "seed": 0}
+_MC_DEFAULTS = {"samples": 200000, "seed": 0}
 _DETECT_DEFAULTS = {
     "significance": 3.0,
     "gap_floor": 1e-9,
@@ -163,8 +160,6 @@ class ExperimentConfig:
             obj = _expect_object(raw["mc"], "config.mc")
             _reject_unknown(obj, "config.mc", _MC_DEFAULTS)
             mc["samples"] = _int_field(obj, "samples", "config.mc", mc["samples"], lo=1)
-            mc["batch"] = _int_field(obj, "batch", "config.mc", mc["batch"], lo=1,
-                                     optional=True)
             mc["seed"] = _int_field(obj, "seed", "config.mc", mc["seed"], lo=0)
 
         detect = dict(_DETECT_DEFAULTS)
@@ -212,9 +207,10 @@ class ExperimentConfig:
                 if (not isinstance(p, list) or len(p) != 2
                         or any(isinstance(x, bool) or not isinstance(x, int) for x in p)):
                     raise ConfigError("config.sweep.plane: must be two integers")
-                if p[0] == p[1] or min(p) < 1 or max(p) > n:
+                if set(p) != {1, 2}:
                     raise ConfigError(
-                        f"config.sweep.plane: needs two distinct indices in 1..{n}")
+                        "config.sweep.plane: the detector measures the weak-unstable "
+                        "foliation, rotations must mix eigen-directions 1 and 2")
                 plane = (p[0], p[1])
             sweep = {"theta_max": thetas, "rho": rhos, "center": center,
                      "plane": plane}
@@ -265,15 +261,3 @@ class ExperimentConfig:
                 f"config.leaf.on_budget: must be 'flag' or 'raise', got {on_budget!r}")
         return {"points": points, "radii": radii, "delta": delta, "steps": steps,
                 "budget": budget, "on_budget": on_budget}
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"config: cannot read {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"config: invalid JSON at line {e.lineno}: {e.msg}") from e
-        return cls.from_dict(raw)

@@ -7,7 +7,6 @@ thresholds), because the JSON files double as regression baselines.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -53,42 +52,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _GATED_STAGES = ("volume", "domination", "closedness", "homology", "rejections")
 
 _REJECT_RATE_LIMIT = 1e-3
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of the non-absolute-continuity test for one foliation.
-
-    The verdict is one-directional: the growth lemma bounds the integrated
-    exponent by the geometric growth for absolutely continuous foliations,
-    so a significant positive gap refutes absolute continuity while a
-    non-positive gap refutes nothing.
-    """
-
-    foliation: tuple
-    chi: float | None
-    chi_provenance: str | None
-    lambda_estimate: float | None
-    lambda_stderr: float | None
-    gap: float | None
-    verdict: str
-    thresholds: dict
-    preflights: dict
-    failed_stage: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "foliation": list(self.foliation),
-            "chi": self.chi,
-            "chi_provenance": self.chi_provenance,
-            "lambda_estimate": self.lambda_estimate,
-            "lambda_stderr": self.lambda_stderr,
-            "gap": self.gap,
-            "verdict": self.verdict,
-            "thresholds": dict(self.thresholds),
-            "preflights": self.preflights,
-            "failed_stage": self.failed_stage,
-        }
 
 
 def _log_moduli(values):
@@ -278,19 +241,18 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
             "point": [float(v) for v in x],
             "exponents": [float(v) for v in expo],
         })
-    flag = splitting_exponents(map_, mc["samples"], m=mc["batch"],
-                               seed=mc["seed"], threads=threads)
+    flag = splitting_exponents(map_, mc["samples"], seed=mc["seed"],
+                               threads=threads)
     bundles = flag["bundles"]
     rejected_max = flag["rejected"] / flag["N"]
     total = flag["sum"]
     total_stderr = flag["sum_stderr"]
     sel = BundleSelector(config.selector)
     sel.validate_for(n)
-    integrated = integrated_exponent(map_, sel, mc["samples"], m=mc["batch"],
-                                     seed=mc["seed"], threads=threads)
+    integrated = integrated_exponent(map_, sel, mc["samples"], seed=mc["seed"],
+                                     threads=threads)
     x0 = np.random.default_rng(mc["seed"] + 202).random(n)
-    birkhoff = birkhoff_exponent(map_, sel, x0, exp["orbit"], m=mc["batch"],
-                                 threads=threads)
+    birkhoff = birkhoff_exponent(map_, sel, x0, exp["orbit"], threads=threads)
     rejected_max = max(rejected_max,
                        integrated["rejected"] / integrated["N"],
                        birkhoff["rejected"] / birkhoff["N"])
@@ -359,7 +321,13 @@ def _significance(gap, stderr, samples):
 def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     """Preflights, exact chi, the gap measured inside the rotation supports,
     verdict. Stages run in order and the first failed gate aborts the rest
-    with INCONCLUSIVE."""
+    with INCONCLUSIVE.
+
+    The verdict is one-directional: the growth lemma bounds the integrated
+    exponent by the geometric growth for absolutely continuous foliations,
+    so a significant positive gap refutes absolute continuity while a
+    non-positive gap refutes nothing.
+    """
     det = config.detect
     mc = config.mc
     eigen = eigen_real(map_.linear)
@@ -446,24 +414,22 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     else:
         verdict = CONSISTENT_WITH_AC
 
-    v = Verdict(
-        foliation=foliation,
-        chi=chi,
-        chi_provenance=chi_prov,
-        lambda_estimate=lam_est,
-        lambda_stderr=lam_se,
-        gap=gap,
-        verdict=verdict,
-        thresholds={"significance": det["significance"],
-                    "gap_floor": det["gap_floor"]},
-        preflights=preflights,
-        failed_stage=failed,
-    )
-    report = v.to_dict()
-    report.update(_significance(gap, lam_se, mc["samples"]))
-    report["measurement"] = measurement
-    report["map"] = map_.to_dict()
-    return report
+    return {
+        "foliation": list(foliation),
+        "chi": chi,
+        "chi_provenance": chi_prov,
+        "lambda_estimate": lam_est,
+        "lambda_stderr": lam_se,
+        "gap": gap,
+        "verdict": verdict,
+        "thresholds": {"significance": det["significance"],
+                       "gap_floor": det["gap_floor"]},
+        "preflights": preflights,
+        "failed_stage": failed,
+        **_significance(gap, lam_se, mc["samples"]),
+        "measurement": measurement,
+        "map": map_.to_dict(),
+    }
 
 
 def cmd_detect(config: ExperimentConfig, threads=None) -> dict:
@@ -479,10 +445,6 @@ def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
             "config.map.rotations: sweep builds one rotation per grid cell, "
             "the base map must be linear")
     sw = config.sweep
-    if set(sw["plane"]) != {1, 2}:
-        raise ConfigError(
-            "config.sweep.plane: the detector measures the weak-unstable "
-            "foliation, rotations must mix eigen-directions 1 and 2")
     cells = []
     for theta in sw["theta_max"]:
         for rho in sw["rho"]:

@@ -72,7 +72,10 @@ def qr_spectrum(map_, x, n, burn_in=100):
 
 
 def _one_step_logs(map_, xs, frames):
-    """Batched restricted log-Jacobians: (values, ok)."""
+    """ln of the k-volume stretch of Df on the span of each frame, batched
+    (B, n) with (B, n, k): (values, ok). Basis independent (a
+    Gram-determinant ratio); ok is False where a frame spans less than k
+    dimensions."""
     moved = np.einsum("bij,bjk->bik", map_.differential(xs), frames)
     vol0 = np.atleast_1d(k_volume(frames))
     vol1 = np.atleast_1d(k_volume(moved))
@@ -80,25 +83,6 @@ def _one_step_logs(map_, xs, frames):
     safe = np.where(ok, vol0, 1.0)
     vals = np.log(np.where(vol1 > 0, vol1, 1.0) / safe)
     return vals, ok & (vol1 > 0)
-
-
-def one_step_log_jacobian(map_, x, frame):
-    """ln of the k-volume stretch of Df(x) on the span of the frame.
-
-    Basis independent (a Gram-determinant ratio). Scalar x with an (n, k)
-    frame gives a float; batched (B, n) with (B, n, k) gives a vector.
-    """
-    x = np.asarray(x, dtype=float)
-    frame = np.asarray(frame, dtype=float)
-    if x.ndim == 1:
-        vals, ok = _one_step_logs(map_, x[None], frame[None])
-        if not ok[0]:
-            raise DegenerateFrame("frame columns do not span their plane")
-        return float(vals[0])
-    vals, ok = _one_step_logs(map_, x, frame)
-    if not ok.all():
-        raise DegenerateFrame("frame columns do not span their plane")
-    return vals
 
 
 def _chunk_slices(n):
@@ -117,7 +101,7 @@ def _run_chunks(n_pts, work, threads=None):
             work(*job)
 
 
-def _bundle_values(map_, pts, selector, m, threads=None):
+def _bundle_values(map_, pts, selector, threads=None):
     """Per-point one-step log-Jacobians over bundle frames.
 
     Returns (vals, status, m): status is the per-sample code, OK for a
@@ -132,7 +116,7 @@ def _bundle_values(map_, pts, selector, m, threads=None):
 
     def work(idx, sl):
         xs = pts[sl]
-        frames, st, m_used = bundle_frames(map_, xs, selector, m)
+        frames, st, m_used = bundle_frames(map_, xs, selector)
         v, ok = _one_step_logs(map_, xs, frames)
         vals[sl] = v
         status[sl] = np.where(st == OK, np.where(ok, OK, STATUS_DEGENERATE), st)
@@ -153,7 +137,7 @@ def _spread(valid):
     return est, stderr
 
 
-def integrated_exponent(map_, selector: BundleSelector, N, m=None, seed=0,
+def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
                         threads=None) -> dict:
     """Monte Carlo integral of the bundle's one-step log-Jacobian.
 
@@ -165,7 +149,7 @@ def integrated_exponent(map_, selector: BundleSelector, N, m=None, seed=0,
     if N < 1:
         raise ValueError("need at least one sample")
     pts = np.random.default_rng(seed).random((N, map_.n))
-    vals, status, m_used = _bundle_values(map_, pts, selector, m, threads)
+    vals, status, m_used = _bundle_values(map_, pts, selector, threads)
     valid = vals[status == OK]
     if valid.size == 0:
         raise DegenerateFrame("every sample was rejected")
@@ -273,7 +257,9 @@ def _support_values(map_, pts, steps, threads=None):
 # nested tensor rules (nt, nalpha, nv) for the twist integral (twist_mean).
 # The coarse rule alone is converged below 1e-13 relative on the
 # calibration map, so |fine - coarse| is a conservative error bar for the
-# fine value.
+# fine value. Once R'11 nears 0 in the chart ball (theta_max about 1.5 on
+# that ball) g0 has a log singularity, convergence is only algebraic, and
+# the error bar is an estimate, not a bound.
 _TWIST_RULES = ((80, 24, 24), (160, 48, 48))
 # radial nodes per slab of the twist rules
 _SLAB = 4
@@ -373,7 +359,7 @@ def support_gap(map_, N, seed=0, threads=None) -> dict:
             "horizon": steps}
 
 
-def splitting_exponents(map_, N, m=None, seed=0, threads=None) -> dict:
+def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
     """Integrated exponents of every line of the full splitting in one pass.
 
     A shared QR factorization per sample covers all n lines, so the
@@ -394,7 +380,7 @@ def splitting_exponents(map_, N, m=None, seed=0, threads=None) -> dict:
 
     def work(idx, sl):
         xs = pts[sl]
-        blocks, status, m_fwd, m_bwd = splitting_frames(map_, xs, (1,) * n, m)
+        blocks, status, m_fwd, m_bwd = splitting_frames(map_, xs, (1,) * n)
         v = np.concatenate(blocks, axis=2)
         w = np.einsum("bij,bjk->bik", map_.differential(xs), v)
         rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
@@ -437,8 +423,7 @@ def splitting_exponents(map_, N, m=None, seed=0, threads=None) -> dict:
     }
 
 
-def birkhoff_exponent(map_, selector: BundleSelector, x0, n, m=None,
-                      threads=None) -> dict:
+def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> dict:
     """Time average of the restricted log-Jacobian along one orbit.
 
     Cross-validates the space average; the stderr comes from batch means
@@ -454,7 +439,7 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, m=None,
     for j in range(n):
         orbit[j] = y[0]
         y = map_.apply(y)
-    vals, status, m_used = _bundle_values(map_, orbit, selector, m, threads)
+    vals, status, m_used = _bundle_values(map_, orbit, selector, threads)
     valid = vals[status == OK]
     if valid.size == 0:
         raise DegenerateFrame("every orbit sample was rejected")

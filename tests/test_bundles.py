@@ -10,20 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlab.bundles import (
-    IllConditionedIntersection,
+    OK,
+    STATUS_ILLCOND,
     NoGap,
-    SplittingFrame,
     _orthonormalize,
     _push_cm,
+    _transport_pair,
     bundle_frames,
     closedness_condition_check,
     domination_check,
     generic_seed_frame,
-    intersect_planes,
+    intersect_frames,
     max_principal_angle,
-    splitting_at,
+    splitting_frames,
     strongest_subbundle,
-    weakest_subbundle,
+    weakest_frames,
 )
 from pathlab.homology import BundleSelector
 from pathlab.smallmat import UnimodularMatrix, eigen_real
@@ -69,20 +70,33 @@ def test_seed_frame_not_eigen_aligned(linear_map):
 
 # ---------------------------------------------------------------- transport
 
+def _weakest(map_, x, k):
+    frames, status, _ = weakest_frames(map_, np.asarray(x, float)[None], k)
+    assert status[0] == OK
+    return frames[0]
+
+
+def _splitting(map_, x, dims):
+    """Blocks at one point, and the ladder depths reached both ways."""
+    blocks, status, m_fwd, m_bwd = splitting_frames(map_, np.asarray(x, float)[None], dims)
+    assert status[0] == OK
+    return [blk[0] for blk in blocks], m_fwd, m_bwd
+
+
 def test_strongest_linear_lines_and_planes(linear_map):
     v = linear_map.eigen.vectors
-    f1 = strongest_subbundle(linear_map, X0, 1, m=40)
+    f1 = strongest_subbundle(linear_map, X0, 1)
     assert max_principal_angle(f1, v[:, :1]) < 1e-12
-    f2 = strongest_subbundle(linear_map, X0, 2, m=40)
+    f2 = strongest_subbundle(linear_map, X0, 2)
     assert max_principal_angle(f2, v[:, :2]) < 1e-12
     assert np.allclose(f2.T @ f2, np.eye(2), atol=1e-12)
 
 
 def test_weakest_linear_lines_and_planes(linear_map):
     v = linear_map.eigen.vectors
-    f1 = weakest_subbundle(linear_map, X0, 1, m=40)
+    f1 = _weakest(linear_map, X0, 1)
     assert max_principal_angle(f1, v[:, 2:]) < 1e-12
-    f2 = weakest_subbundle(linear_map, X0, 2, m=40)
+    f2 = _weakest(linear_map, X0, 2)
     assert max_principal_angle(f2, v[:, 1:]) < 1e-12
 
 
@@ -93,48 +107,54 @@ def test_strongest_cat_map():
 
 
 def test_alignment_depth_consistency(perturbed_map):
-    f30 = strongest_subbundle(perturbed_map, X0, 1, m=30)
-    f40 = strongest_subbundle(perturbed_map, X0, 1, m=40)
-    assert max_principal_angle(f30, f40) < 1e-8
-    g30 = weakest_subbundle(perturbed_map, X0, 2, m=30)
-    g40 = weakest_subbundle(perturbed_map, X0, 2, m=40)
-    assert max_principal_angle(g30, g40) < 1e-8
+    for k, direction in ((1, +1), (2, -1)):
+        frames = []
+        for m in (30, 40):
+            f_long, _, ok = _transport_pair(perturbed_map, X0[None], k, m, direction)
+            assert ok[0]
+            frames.append(f_long[0])
+        assert max_principal_angle(*frames) < 1e-8
 
 
 def test_no_gap_detected_for_rotation_matrix():
     m = TorusMap(UnimodularMatrix([[0, -1], [1, 0]]))
-    with pytest.raises(NoGap):
-        strongest_subbundle(m, np.array([0.1, 0.2]), 1, m=40)
     with pytest.raises(NoGap):
         strongest_subbundle(m, np.array([0.1, 0.2]), 1)
 
 
 # ---------------------------------------------------------------- intersection
 
+def _intersect(p, q):
+    frames, status = intersect_frames(np.asarray(p)[None], np.asarray(q)[None])
+    return frames[0], status[0]
+
+
 def test_intersect_coordinate_planes():
     p = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     q = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    axis = intersect_planes(p, q)
+    axis, status = _intersect(p, q)
+    assert status == OK
     assert axis.shape == (3, 1)
     assert max_principal_angle(axis, np.array([[1.0], [0.0], [0.0]])) < 1e-12
 
 
 def test_intersect_eigen_planes(linear_map):
     v = linear_map.eigen.vectors
-    got = intersect_planes(v[:, :2], v[:, 1:])
+    got, status = _intersect(v[:, :2], v[:, 1:])
+    assert status == OK
     assert max_principal_angle(got, v[:, 1:2]) < 1e-10
 
 
 def test_intersect_identical_planes_flagged(linear_map):
     v = linear_map.eigen.vectors
-    with pytest.raises(IllConditionedIntersection):
-        intersect_planes(v[:, :2], v[:, :2])
+    _, status = _intersect(v[:, :2], v[:, :2])
+    assert status == STATUS_ILLCOND
 
 
 def test_intersect_dimension_check():
     p = np.array([[1.0], [0.0], [0.0]])
     with pytest.raises(ValueError):
-        intersect_planes(p, p)
+        _intersect(p, p)
 
 
 @given(st.integers(0, 10**6))
@@ -143,10 +163,10 @@ def test_intersection_contained_in_both_inputs(seed):
     rng = np.random.default_rng(seed)
     p, _ = np.linalg.qr(rng.normal(size=(4, 3)))
     q, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-    try:
-        got = intersect_planes(p, q)
-    except IllConditionedIntersection:
+    got, status = _intersect(p, q)
+    if status == STATUS_ILLCOND:
         return
+    assert status == OK
     for frame in (p, q):
         proj = frame @ (frame.T @ got)
         assert np.abs(got - proj).max() < 1e-8
@@ -156,26 +176,25 @@ def test_intersection_contained_in_both_inputs(seed):
 
 def test_splitting_linear_recovers_eigen(linear_map):
     v = linear_map.eigen.vectors
-    s = splitting_at(linear_map, X0, (1, 1, 1))
-    assert isinstance(s, SplittingFrame)
-    assert s.dims == (1, 1, 1)
+    blocks, m_fwd, m_bwd = _splitting(linear_map, X0, (1, 1, 1))
+    assert [blk.shape for blk in blocks] == [(3, 1)] * 3
     for i in range(3):
-        assert max_principal_angle(s.blocks[i], v[:, i:i + 1]) < 1e-10
-    assert s.m_fwd >= 40 and s.m_bwd >= 40
+        assert max_principal_angle(blocks[i], v[:, i:i + 1]) < 1e-10
+    assert m_fwd >= 40 and m_bwd >= 40
 
 
 def test_splitting_two_block(linear_map):
     v = linear_map.eigen.vectors
-    s = splitting_at(linear_map, X0, (2, 1))
-    assert max_principal_angle(s.blocks[0], v[:, :2]) < 1e-10
-    assert max_principal_angle(s.blocks[1], v[:, 2:]) < 1e-10
+    blocks, _, _ = _splitting(linear_map, X0, (2, 1))
+    assert max_principal_angle(blocks[0], v[:, :2]) < 1e-10
+    assert max_principal_angle(blocks[1], v[:, 2:]) < 1e-10
 
 
 def test_splitting_rejects_bad_dims(linear_map):
     with pytest.raises(ValueError):
-        splitting_at(linear_map, X0, (2, 2))
+        splitting_frames(linear_map, X0[None], (2, 2))
     with pytest.raises(ValueError):
-        splitting_at(linear_map, X0, (3, 0))
+        splitting_frames(linear_map, X0[None], (3, 0))
 
 
 def _point_with_clear_orbit(map_, span=46, count=64):
@@ -196,20 +215,20 @@ def _point_with_clear_orbit(map_, span=46, count=64):
 
 def test_splitting_perturbed_locally_linear_point(perturbed_map):
     x = _point_with_clear_orbit(perturbed_map)
-    s = splitting_at(perturbed_map, x, (1, 1, 1), m=40)
+    blocks, _, _ = _splitting(perturbed_map, x, (1, 1, 1))
     v = perturbed_map.eigen.vectors
     for i in range(3):
-        assert max_principal_angle(s.blocks[i], v[:, i:i + 1]) < 1e-9
+        assert max_principal_angle(blocks[i], v[:, i:i + 1]) < 1e-9
 
 
 def test_splitting_invariance_under_map(perturbed_map):
-    s_here = splitting_at(perturbed_map, X0, (1, 1, 1), m=40)
+    here, _, _ = _splitting(perturbed_map, X0, (1, 1, 1))
     fx = perturbed_map.apply(X0)
-    s_next = splitting_at(perturbed_map, fx, (1, 1, 1), m=40)
+    there, _, _ = _splitting(perturbed_map, fx, (1, 1, 1))
     jac = perturbed_map.differential(X0)
     for i in range(3):
-        pushed = jac @ s_here.blocks[i]
-        assert max_principal_angle(pushed, s_next.blocks[i]) < 1e-6
+        pushed = jac @ here[i]
+        assert max_principal_angle(pushed, there[i]) < 1e-6
 
 
 # ---------------------------------------------------------------- selectors
@@ -227,7 +246,7 @@ def test_bundle_frames_linear_any_selector(linear_map):
 def test_bundle_frames_perturbed_contiguous(perturbed_map):
     xs = X0[None]
     v = perturbed_map.eigen.vectors
-    frames, status, _ = bundle_frames(perturbed_map, xs, BundleSelector((2,)), m=40)
+    frames, status, _ = bundle_frames(perturbed_map, xs, BundleSelector((2,)))
     assert status[0] == 0
     assert frames.shape == (1, 3, 1)
     # X0 sits where the map is locally linear, orbit effects are small

@@ -113,6 +113,21 @@ def test_sweep_validation():
             "map": {"linear": COMPANION},
             "sweep": {"theta_max": [0.5], "rho": [0.1], "center": CENTER,
                       "plane": [2, 2]}})
+    # the detector needs rotations mixing eigen-directions 1 and 2
+    with pytest.raises(ConfigError, match=r"config\.sweep\.plane"):
+        ExperimentConfig.from_dict({
+            "map": {"linear": COMPANION},
+            "sweep": {"theta_max": [0.5], "rho": [0.1], "center": CENTER,
+                      "plane": [1, 3]}})
+
+
+def test_fixed_transport_depth_key_rejected(tmp_path, capsys):
+    cfg = {"map": {"linear": CAT}, "mc": {"batch": 40}}
+    with pytest.raises(ConfigError, match=r"config\.mc: unknown keys \['batch'\]"):
+        ExperimentConfig.from_dict(cfg)
+    assert main(["exponents", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config.mc: unknown keys ['batch']" in capsys.readouterr().err
 
 
 def test_config_defaults_filled():
@@ -124,11 +139,11 @@ def test_config_defaults_filled():
     assert cfg.leaf is None
 
 
-def test_invalid_json_reports_line(tmp_path):
+def test_invalid_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "map": {,}\n}\n')
-    with pytest.raises(ConfigError, match="line 2"):
-        ExperimentConfig.from_file(str(path))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ commands
@@ -438,6 +453,22 @@ def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PATHLAB_THREADS", "two")
     assert main(["detect", "--config", cfg_path,
                  "--out", str(tmp_path / "o2")]) == 2
+
+
+def test_cli_thread_count_below_one_rejected(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, detect_config(samples=800))
+    out = str(tmp_path / "o")
+    for count in ("0", "-2"):
+        monkeypatch.delenv("PATHLAB_THREADS", raising=False)
+        assert main(["detect", "--config", cfg_path, "--out", out,
+                     "--threads", count]) == 2
+        assert (f"--threads: must be at least 1, got {count}"
+                in capsys.readouterr().err)
+        monkeypatch.setenv("PATHLAB_THREADS", count)
+        assert main(["detect", "--config", cfg_path, "--out", out]) == 2
+        assert (f"PATHLAB_THREADS: must be at least 1, got {count}"
+                in capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 def test_reports_are_strict_json_without_nan(tmp_path):

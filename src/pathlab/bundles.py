@@ -11,9 +11,9 @@ Every frame is certified by the alignment ladder: a sample is accepted at
 the first depth m of _LADDER where its frames after m and m + 5 transport
 steps agree within _CAUCHY_TOL, and reports carry the deepest m reached.
 
-Batched entry points return per-sample status codes instead of raising, so
-Monte Carlo callers can count rejected samples; strongest_subbundle is the
-one scalar entry point, and it raises.
+Batched entry points return per-sample status codes and ladder depths
+instead of raising, so Monte Carlo callers can count rejected samples;
+strongest_subbundle is the one scalar entry point, and it raises.
 All batched results are per-sample deterministic: a sample's output depends
 only on its own coordinates, never on the batch it rode in.
 """
@@ -192,8 +192,8 @@ def _aligned_frames(map_, xs, k, direction):
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     frames = np.empty((b, n, k))
     status = np.full(b, STATUS_NOGAP, dtype=np.int8)
+    depth = np.zeros(b, dtype=np.int16)
     pending = np.arange(b)
-    m_used = _LADDER[0]
     for rung in _LADDER:
         f_long, f_short, ok = _transport_pair(map_, xs[pending], k, rung, direction)
         ang = _batch_angles(f_long, f_short)
@@ -201,15 +201,16 @@ def _aligned_frames(map_, xs, k, direction):
         st = np.where(ok, st, STATUS_DEGENERATE).astype(np.int8)
         frames[pending] = f_long
         status[pending] = st
-        m_used = rung
+        depth[pending] = rung
         pending = pending[st == STATUS_NOGAP]
         if len(pending) == 0:
             break
-    return frames, status, m_used
+    return frames, status, depth
 
 
 def strongest_frames(map_, xs, k):
-    """Batched strongest-k-plane frames: (frames, status, m_used)."""
+    """Batched strongest-k-plane frames: (frames, status, depth), with the
+    per-sample ladder depth m of the accepted (or last) transport."""
     return _aligned_frames(map_, xs, k, +1)
 
 
@@ -271,11 +272,20 @@ def intersect_frames(p, q):
     return frames, status
 
 
+def _between_frames(map_, xs, j, l):
+    """Strongest j-plane meet weakest l-plane, batched: (frames, status, depth)."""
+    strong, st_s, d_s = strongest_frames(map_, xs, j)
+    weak, st_w, d_w = weakest_frames(map_, xs, l)
+    frames, st = intersect_frames(strong, weak)
+    status = np.maximum(st, np.maximum(st_s, st_w)).astype(np.int8)
+    return frames, status, np.maximum(d_s, d_w)
+
+
 def splitting_frames(map_, xs, dims):
     """Batched splitting into blocks of the given dimensions, strongest first.
 
-    Returns (blocks, status, m_fwd, m_bwd) where blocks is a list of
-    (B, n, dims[i]) arrays.
+    Returns (blocks, status, depth) where blocks is a list of (B, n, dims[i])
+    arrays and depth is the deepest ladder rung each sample reached.
     """
     xs = np.asarray(xs, dtype=float)
     n = map_.n
@@ -284,37 +294,32 @@ def splitting_frames(map_, xs, dims):
         raise ValueError(f"block dimensions {dims} must be positive and sum to {n}")
     b = xs.shape[0]
     status = np.zeros(b, dtype=np.int8)
+    depth = np.zeros(b, dtype=np.int16)
     cum = np.cumsum(dims)
-    m_fwd = m_bwd = 0
     blocks = []
     for i, d in enumerate(dims):
         if i == 0:
-            blk, st, used = strongest_frames(map_, xs, cum[0])
-            m_fwd = max(m_fwd, used)
+            blk, st, dp = strongest_frames(map_, xs, cum[0])
         elif i == len(dims) - 1:
-            blk, st, used = weakest_frames(map_, xs, d)
-            m_bwd = max(m_bwd, used)
+            blk, st, dp = weakest_frames(map_, xs, d)
         else:
-            strong, st_s, used_s = strongest_frames(map_, xs, cum[i])
-            weak, st_w, used_w = weakest_frames(map_, xs, n - cum[i - 1])
-            m_fwd = max(m_fwd, used_s)
-            m_bwd = max(m_bwd, used_w)
-            blk, st = intersect_frames(strong, weak)
-            st = np.maximum(st, np.maximum(st_s, st_w))
+            blk, st, dp = _between_frames(map_, xs, cum[i], n - cum[i - 1])
         blocks.append(blk)
         status = np.maximum(status, st)
+        depth = np.maximum(depth, dp)
     full = np.concatenate(blocks, axis=2)
     vol = k_volume(full)
     status = np.where((vol < 1e-6) & (status == OK), STATUS_DEGENERATE, status).astype(np.int8)
-    return blocks, status, m_fwd, m_bwd
+    return blocks, status, depth
 
 
 def bundle_frames(map_, xs, selector: BundleSelector):
-    """Frames of the bundle named by a selector, batched: (frames, status, m).
+    """Frames of the bundle named by a selector, batched: (frames, status,
+    depth).
 
     Pure linear maps use exact eigen-direction frames (any selector, frames
-    not orthonormal). Perturbed maps require a contiguous selector, realized
-    as strongest/weakest planes or their intersection.
+    not orthonormal, depth 0). Perturbed maps require a contiguous selector,
+    realized as strongest/weakest planes or their intersection.
     """
     xs = np.asarray(xs, dtype=float)
     n = map_.n
@@ -324,7 +329,7 @@ def bundle_frames(map_, xs, selector: BundleSelector):
         cols = list(selector.zero_based())
         frame = map_.eigen.vectors[:, cols]
         frames = np.broadcast_to(frame, (b, n, len(cols))).copy()
-        return frames, np.zeros(b, dtype=np.int8), 0
+        return frames, np.zeros(b, dtype=np.int8), np.zeros(b, dtype=np.int16)
     lo, hi = selector.indices[0], selector.indices[-1]
     if selector.indices != tuple(range(lo, hi + 1)):
         raise ValueError(
@@ -334,11 +339,7 @@ def bundle_frames(map_, xs, selector: BundleSelector):
         return strongest_frames(map_, xs, hi)
     if hi == n:
         return weakest_frames(map_, xs, n - lo + 1)
-    strong, st_s, used_s = strongest_frames(map_, xs, hi)
-    weak, st_w, used_w = weakest_frames(map_, xs, n - lo + 1)
-    frames, st = intersect_frames(strong, weak)
-    status = np.maximum(st, np.maximum(st_s, st_w)).astype(np.int8)
-    return frames, status, max(used_s, used_w)
+    return _between_frames(map_, xs, hi, n - lo + 1)
 
 
 def _chained_jacobian(map_, xs, steps):
@@ -351,16 +352,6 @@ def _chained_jacobian(map_, xs, steps):
     return jac
 
 
-def _sample_points(map_, samples, seed):
-    if np.isscalar(samples):
-        rng = np.random.default_rng(seed)
-        return rng.random((int(samples), map_.n))
-    xs = np.asarray(samples, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != map_.n:
-        raise ValueError(f"sample points must have shape (N, {map_.n})")
-    return xs
-
-
 def domination_check(map_, samples=200, l=2, dims=None, seed=0) -> dict:
     """Sampled check of the factor-2 domination between consecutive blocks.
 
@@ -371,8 +362,8 @@ def domination_check(map_, samples=200, l=2, dims=None, seed=0) -> dict:
     n = map_.n
     if dims is None:
         dims = (1,) * n
-    xs = _sample_points(map_, samples, seed)
-    blocks, status, _, _ = splitting_frames(map_, xs, dims)
+    xs = map_.sample_uniform(samples, seed)
+    blocks, status, _ = splitting_frames(map_, xs, dims)
     worst = int(status.max(initial=0))
     if worst != OK:
         _raise_status(worst, "domination_check")
@@ -419,7 +410,7 @@ def closedness_condition_check(map_, selector: BundleSelector, steps=4, samples=
     """
     if selector.k < 2:
         raise ValueError("closedness check needs a bundle of dimension >= 2")
-    xs = _sample_points(map_, samples, seed)
+    xs = map_.sample_uniform(samples, seed)
     frames, status, _ = bundle_frames(map_, xs, selector)
     worst = int(status.max(initial=0))
     if worst != OK:

@@ -97,8 +97,6 @@ _DETECT_DEFAULTS = {
     "significance": 3.0,
     "gap_floor": 1e-9,
     "preflight_samples": 200,
-    "closedness_steps": 4,
-    "volume_tol": 1e-9,
     "c1_samples": 10000,
 }
 _EXP_DEFAULTS = {"qr_steps": 2000, "spectrum_points": 3, "orbit": 1000000}
@@ -174,12 +172,6 @@ class ExperimentConfig:
             detect["preflight_samples"] = _int_field(
                 obj, "preflight_samples", "config.detect",
                 detect["preflight_samples"], lo=1)
-            detect["closedness_steps"] = _int_field(
-                obj, "closedness_steps", "config.detect",
-                detect["closedness_steps"], lo=1)
-            detect["volume_tol"] = _float_field(
-                obj, "volume_tol", "config.detect", detect["volume_tol"],
-                lo=0.0, lo_open=True)
             detect["c1_samples"] = _int_field(
                 obj, "c1_samples", "config.detect", detect["c1_samples"], lo=1)
 

@@ -53,6 +53,11 @@ _GATED_STAGES = ("volume", "domination", "closedness", "homology", "rejections")
 
 _REJECT_RATE_LIMIT = 1e-3
 
+# chained steps of the closedness preflight, and the volume preflight's
+# tolerance on |det Df| - 1
+_CLOSEDNESS_STEPS = 4
+_VOLUME_TOL = 1e-9
+
 
 def _log_moduli(values):
     return [float(np.log(abs(v))) for v in values]
@@ -229,13 +234,10 @@ def cmd_cycle(config: ExperimentConfig) -> dict:
 def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     """Lyapunov spectrum, per-direction integrated exponents, cross-checks."""
     map_ = config.build_map()
-    n = map_.n
     mc = config.mc
     exp = config.exponents
-    rng = np.random.default_rng(mc["seed"] + 101)
     spectrum = []
-    for _ in range(exp["spectrum_points"]):
-        x = rng.random(n)
+    for x in map_.sample_uniform(exp["spectrum_points"], mc["seed"] + 101):
         expo = qr_spectrum(map_, x, exp["qr_steps"])
         spectrum.append({
             "point": [float(v) for v in x],
@@ -248,10 +250,10 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     total = flag["sum"]
     total_stderr = flag["sum_stderr"]
     sel = BundleSelector(config.selector)
-    sel.validate_for(n)
+    sel.validate_for(map_.n)
     integrated = integrated_exponent(map_, sel, mc["samples"], seed=mc["seed"],
                                      threads=threads)
-    x0 = np.random.default_rng(mc["seed"] + 202).random(n)
+    x0 = map_.sample_uniform(1, mc["seed"] + 202)[0]
     birkhoff = birkhoff_exponent(map_, sel, x0, exp["orbit"], threads=threads)
     rejected_max = max(rejected_max,
                        integrated["rejected"] / integrated["N"],
@@ -336,13 +338,12 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     preflights = {}
     failed = None
 
-    pts = np.random.default_rng(mc["seed"] + 11).random(
-        (det["preflight_samples"], map_.n))
+    pts = map_.sample_uniform(det["preflight_samples"], mc["seed"] + 11)
     dets = np.linalg.det(map_.differential(pts))
     vol_err = float(np.max(np.abs(np.abs(dets) - 1.0)))
-    vol_ok = vol_err <= det["volume_tol"]
+    vol_ok = vol_err <= _VOLUME_TOL
     preflights["volume"] = {"max_abs_det_minus_1": vol_err,
-                            "tol": det["volume_tol"], "passed": vol_ok}
+                            "tol": _VOLUME_TOL, "passed": vol_ok}
     if not vol_ok:
         failed = "volume"
 
@@ -364,7 +365,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     if failed is None:
         try:
             clo = closedness_condition_check(
-                map_, BundleSelector((1, 2)), steps=det["closedness_steps"],
+                map_, BundleSelector((1, 2)), steps=_CLOSEDNESS_STEPS,
                 samples=det["preflight_samples"], seed=mc["seed"] + 14)
             preflights["closedness"] = {**clo, "passed": clo["holds"]}
             if not clo["holds"]:

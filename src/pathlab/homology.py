@@ -124,9 +124,10 @@ def topological_growth(eigen: EigenData, selector: BundleSelector):
                 f"{selector.indices} share modulus {abs(lam):.12g}"
             )
     coeffs = wedge_coefficients(eigen.vectors[:, list(chosen)])
-    # consistency against the induced map, rebuilt from the eigen data
-    a_float = eigen.vectors @ np.diag(eigen.values) @ np.linalg.inv(eigen.vectors)
-    induced = exterior_power(a_float, k)
+    # consistency against the exact induced map of the integer matrix the
+    # eigen data came from
+    a = np.rint(eigen.vectors @ np.diag(eigen.values) @ np.linalg.inv(eigen.vectors))
+    induced = exterior_power(a, k)
     residual = float(np.linalg.norm(induced @ coeffs - lam * coeffs))
     if residual > 1e-9 * max(1.0, float(np.abs(induced).max())):
         raise ValueError(f"carried class failed eigen-verification: residual {residual:.3e}")

@@ -8,15 +8,21 @@ chart-metric integrand vanishes off the rotation supports, equals a closed
 form of the chart point at every support point whose orbit does not come
 back, and otherwise needs only the chart Jacobians at the returns. So the
 gap is an exact quadrature of that closed form plus a Monte Carlo
-correction from the few samples that return. Sample points are
-pregenerated from the seed in one pass and processed in fixed-size chunks,
-so estimates are byte-identical for any worker count and the per-sample
-values never depend on which batch a point rode in.
+correction from the few samples that return.
+
+Every estimator has the same four steps: draw its points from the seed in
+one pass (TorusMap.sample_uniform or sample_support, or one orbit), run a
+per-sample function on fixed-size chunks (_per_sample), keep the samples
+whose status is OK (_valid), and reduce them once (_spread). Per-sample
+values are concatenated in chunk order, so estimates are byte-identical for
+any worker count and a sample's values never depend on which chunk it rode
+in.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -27,6 +33,7 @@ from .bundles import (
     STATUS_E2ZERO,
     NoGap,
     bundle_frames,
+    generic_seed_frame,
     splitting_frames,
 )
 from .homology import BundleSelector
@@ -54,8 +61,6 @@ def qr_spectrum(map_, x, n, burn_in=100):
         raise ValueError("need at least one accumulation step")
     dim = map_.n
     y = np.asarray(x, dtype=float)[None, :]
-    from .bundles import generic_seed_frame
-
     q = generic_seed_frame(dim, dim)
     logs = np.zeros(dim)
     for j in range(int(burn_in) + int(n)):
@@ -74,7 +79,7 @@ def qr_spectrum(map_, x, n, burn_in=100):
 def _one_step_logs(map_, xs, frames):
     """ln of the k-volume stretch of Df on the span of each frame, batched
     (B, n) with (B, n, k): (values, ok). Basis independent (a
-    Gram-determinant ratio); ok is False where a frame spans less than k
+    k-volume ratio); ok is False where a frame spans less than k
     dimensions."""
     moved = np.einsum("bij,bjk->bik", map_.differential(xs), frames)
     vol0 = np.atleast_1d(k_volume(frames))
@@ -85,56 +90,59 @@ def _one_step_logs(map_, xs, frames):
     return vals, ok & (vol1 > 0)
 
 
-def _chunk_slices(n):
-    return [slice(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
-
-
-def _run_chunks(n_pts, work, threads=None):
-    """work(idx, sl) on every fixed-size chunk of n_pts rows, in order on
-    one thread or in a pool; each chunk writes only its own rows."""
-    jobs = list(enumerate(_chunk_slices(n_pts)))
+def _per_sample(fn, pts, threads=None):
+    """fn on every CHUNK-row slice of pts, in order on one thread or in a
+    pool. fn returns a tuple of per-row arrays; each is concatenated over
+    the chunks in chunk order."""
+    chunks = [pts[lo:lo + CHUNK] for lo in range(0, pts.shape[0], CHUNK)]
     if threads and int(threads) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(lambda job: work(*job), jobs))
+            outs = list(pool.map(fn, chunks))
     else:
-        for job in jobs:
-            work(*job)
+        outs = [fn(xs) for xs in chunks]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
-def _bundle_values(map_, pts, selector, threads=None):
-    """Per-point one-step log-Jacobians over bundle frames.
-
-    Returns (vals, status, m): status is the per-sample code, OK for a
-    usable value, else the first failure of the transport or of the volume.
-    """
-    n_pts = pts.shape[0]
-    vals = np.empty(n_pts)
-    status = np.empty(n_pts, dtype=np.int8)
-    if not map_.rotations:
-        map_.eigen  # cache before any worker pool touches it
-    used = [0] * len(_chunk_slices(n_pts))
-
-    def work(idx, sl):
-        xs = pts[sl]
-        frames, st, m_used = bundle_frames(map_, xs, selector)
-        v, ok = _one_step_logs(map_, xs, frames)
-        vals[sl] = v
-        status[sl] = np.where(st == OK, np.where(ok, OK, STATUS_DEGENERATE), st)
-        used[idx] = m_used
-
-    _run_chunks(n_pts, work, threads)
-    return vals, status, max(used) if used else 0
+def _valid(vals, status, what):
+    """The rows of vals whose status is OK; DegenerateFrame if there is none."""
+    valid = vals[status == OK]
+    if valid.shape[0] == 0:
+        raise DegenerateFrame(f"every {what} was rejected")
+    return valid
 
 
-def _spread(valid):
+def _spread(valid, blocks=None):
+    """Mean and stderr of the valid values. With blocks, the stderr comes
+    from that many batch means, for correlated (orbit) samples."""
     if valid.size > 1 and np.ptp(valid) > 0.0:
         est = float(valid.mean())
+        if blocks:
+            valid = np.array([b.mean() for b in np.array_split(valid, blocks)])
         stderr = float(valid.std(ddof=1) / sqrt(valid.size))
     else:
         # constant integrand: the sample spread is exactly zero
         est = float(valid[0])
         stderr = 0.0
     return est, stderr
+
+
+def _bundle_values(map_, xs, selector):
+    """Per-sample (value, status, depth) of the one-step log-Jacobian over
+    bundle frames: status is OK for a usable value, else the first failure
+    of the transport or of the volume; depth is the ladder depth."""
+    frames, st, depth = bundle_frames(map_, xs, selector)
+    v, ok = _one_step_logs(map_, xs, frames)
+    status = np.where(st == OK, np.where(ok, OK, STATUS_DEGENERATE), st)
+    return v, status.astype(np.int8), depth
+
+
+def _bundle_run(map_, selector, pts, threads, what):
+    """The valid _bundle_values of pts and the deepest ladder rung."""
+    if not map_.rotations:
+        map_.eigen  # cache before any worker pool touches it
+    vals, status, depth = _per_sample(partial(_bundle_values, map_, selector=selector),
+                                      pts, threads)
+    return _valid(vals, status, what), int(depth.max())
 
 
 def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
@@ -146,20 +154,15 @@ def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
     """
     selector.validate_for(map_.n)
     N = int(N)
-    if N < 1:
-        raise ValueError("need at least one sample")
-    pts = np.random.default_rng(seed).random((N, map_.n))
-    vals, status, m_used = _bundle_values(map_, pts, selector, threads)
-    valid = vals[status == OK]
-    if valid.size == 0:
-        raise DegenerateFrame("every sample was rejected")
+    valid, depth = _bundle_run(map_, selector, map_.sample_uniform(N, seed),
+                               threads, "sample")
     est, stderr = _spread(valid)
     return {
         "bundle": list(selector.indices),
         "estimate": est,
         "stderr": stderr,
         "N": N,
-        "m": int(m_used),
+        "m": depth,
         "seed": int(seed),
         "rejected": int(N - valid.size),
     }
@@ -236,21 +239,6 @@ def _line_values(map_, xs, steps):
     with np.errstate(divide="ignore"):
         g0 = -np.log(np.abs(block[0, 0]))
     returned = last <= steps
-    return g, g0, returned, status
-
-
-def _support_values(map_, pts, steps, threads=None):
-    """_line_values over fixed-size chunks, on one thread or a pool."""
-    n_pts = pts.shape[0]
-    g, g0 = np.empty(n_pts), np.empty(n_pts)
-    returned = np.empty(n_pts, dtype=bool)
-    status = np.empty(n_pts, dtype=np.int8)
-    map_.eigen  # cache before any worker pool touches it
-
-    def work(idx, sl):
-        g[sl], g0[sl], returned[sl], status[sl] = _line_values(map_, pts[sl], steps)
-
-    _run_chunks(n_pts, work, threads)
     return g, g0, returned, status
 
 
@@ -343,20 +331,33 @@ def support_gap(map_, N, seed=0, threads=None) -> dict:
                 "return_stderr": 0.0, "returned": 0, "horizon": 0}
     steps = horizon(map_.eigen)
     twist, quad_err = twist_term(map_)
-    pts = map_.sample_support(N, seed)
-    g, g0, returned, status = _support_values(map_, pts, steps, threads)
-    ok = status == OK
-    if not ok.any():
-        raise DegenerateFrame("every sample was rejected")
-    corr, corr_se = _spread(np.where(returned, g - g0, 0.0)[ok])
+    g, g0, returned, status = _per_sample(partial(_line_values, map_, steps=steps),
+                                          map_.sample_support(N, seed), threads)
+    valid = _valid(np.where(returned, g - g0, 0.0), status, "sample")
+    corr, corr_se = _spread(valid)
     corr, corr_se = volume * corr, volume * corr_se
     return {**out, "estimate": twist + corr,
             "stderr": math.hypot(quad_err, corr_se),
-            "rejected": int(N - np.count_nonzero(ok)), "support_samples": N,
+            "rejected": N - valid.size, "support_samples": N,
             "twist_integral": twist, "quadrature_error": quad_err,
             "return_correction": corr, "return_stderr": corr_se,
-            "returned": int(np.count_nonzero(returned & ok)),
+            "returned": int(np.count_nonzero(returned & (status == OK))),
             "horizon": steps}
+
+
+def _splitting_values(map_, xs):
+    """Per-sample (values (B, n), status, depth) of every line of the full
+    splitting, from one QR factorization of its frame and of the pushed
+    frame."""
+    blocks, status, depth = splitting_frames(map_, xs, (1,) * map_.n)
+    v = np.concatenate(blocks, axis=2)
+    w = np.einsum("bij,bjk->bik", map_.differential(xs), v)
+    rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
+    rw = np.abs(np.diagonal(np.linalg.qr(w, mode="r"), axis1=1, axis2=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(rw) - np.log(rv)
+    vals[status != OK] = 0.0
+    return vals, status, depth
 
 
 def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
@@ -369,38 +370,14 @@ def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
     function, so the integrals agree while the sum check sharpens from
     statistical to exact.
     """
-    n = map_.n
     N = int(N)
-    if N < 1:
-        raise ValueError("need at least one sample")
-    pts = np.random.default_rng(seed).random((N, n))
-    per = np.zeros((N, n))
-    ok = np.zeros(N, dtype=bool)
-    used = [0] * len(_chunk_slices(N))
-
-    def work(idx, sl):
-        xs = pts[sl]
-        blocks, status, m_fwd, m_bwd = splitting_frames(map_, xs, (1,) * n)
-        v = np.concatenate(blocks, axis=2)
-        w = np.einsum("bij,bjk->bik", map_.differential(xs), v)
-        rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
-        rw = np.abs(np.diagonal(np.linalg.qr(w, mode="r"), axis1=1, axis2=2))
-        good = status == OK
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(rw) - np.log(rv)
-        vals[~good] = 0.0
-        per[sl] = vals
-        ok[sl] = good
-        used[idx] = max(int(m_fwd), int(m_bwd))
-
-    _run_chunks(N, work, threads)
-    m_used = max(used)
-    valid = per[ok]
-    if valid.shape[0] == 0:
-        raise DegenerateFrame("every sample was rejected")
-    rejected = int(N - valid.shape[0])
+    per, status, depth = _per_sample(partial(_splitting_values, map_),
+                                     map_.sample_uniform(N, seed), threads)
+    valid = _valid(per, status, "sample")
+    m_used = int(depth.max())
+    rejected = N - valid.shape[0]
     bundles = []
-    for i in range(n):
+    for i in range(map_.n):
         est, stderr = _spread(valid[:, i])
         bundles.append({
             "bundle": [i + 1],
@@ -439,23 +416,13 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> di
     for j in range(n):
         orbit[j] = y[0]
         y = map_.apply(y)
-    vals, status, m_used = _bundle_values(map_, orbit, selector, threads)
-    valid = vals[status == OK]
-    if valid.size == 0:
-        raise DegenerateFrame("every orbit sample was rejected")
-    if valid.size > 1 and np.ptp(valid) > 0.0:
-        est = float(valid.mean())
-        blocks = min(100, max(2, valid.size // 1000))
-        means = np.array([b.mean() for b in np.array_split(valid, blocks)])
-        stderr = float(means.std(ddof=1) / sqrt(blocks))
-    else:
-        est = float(valid[0])
-        stderr = 0.0
+    valid, depth = _bundle_run(map_, selector, orbit, threads, "orbit sample")
+    est, stderr = _spread(valid, blocks=min(100, max(2, valid.size // 1000)))
     return {
         "bundle": list(selector.indices),
         "estimate": est,
         "stderr": stderr,
         "N": n,
-        "m": int(m_used),
+        "m": depth,
         "rejected": int(n - valid.size),
     }

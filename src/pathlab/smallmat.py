@@ -228,43 +228,32 @@ def exterior_power(a, k: int) -> np.ndarray:
     """Matrix of the induced map on the k-th exterior power.
 
     Entry (I, J) is the k x k minor with rows I and columns J, both running in
-    lexicographic order. Integer input gives exact int64 output (overflow is
-    detected); float input is computed with LAPACK determinants.
+    lexicographic order. Exact int64 output (overflow is detected); entries
+    that are not integers raise ValueError.
     """
     if isinstance(a, UnimodularMatrix):
         a = a.entries
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
-    w = WedgeIndex(n, k)
+    rows = _as_int_rows(a)
+    w = WedgeIndex(len(rows), k)
     m = len(w)
-    exact = arr.dtype.kind in "iuO" or (arr.dtype.kind == "f" and np.all(arr == np.round(arr)))
-    if exact:
-        rows = [[int(x) for x in row] for row in arr]
-        out = [[0] * m for _ in range(m)]
-        for bi, ri in enumerate(w.subsets):
-            for bj, cj in enumerate(w.subsets):
-                minor = [[rows[r][c] for c in cj] for r in ri]
-                out[bi][bj] = int_det(minor) if k > 1 else minor[0][0]
-        flat = [x for row in out for x in row]
-        if max(abs(x) for x in flat) >= 2 ** 63:
-            raise OverflowError("exterior power entry exceeds int64")
-        return np.array(out, dtype=np.int64)
-    out = np.empty((m, m), dtype=float)
+    out = [[0] * m for _ in range(m)]
     for bi, ri in enumerate(w.subsets):
-        sub = arr[np.ix_(ri, range(n))]
         for bj, cj in enumerate(w.subsets):
-            minor = sub[:, cj]
-            out[bi, bj] = minor[0, 0] if k == 1 else np.linalg.det(minor)
-    return out
+            minor = [[rows[r][c] for c in cj] for r in ri]
+            out[bi][bj] = int_det(minor) if k > 1 else minor[0][0]
+    flat = [x for row in out for x in row]
+    if max(abs(x) for x in flat) >= 2 ** 63:
+        raise OverflowError("exterior power entry exceeds int64")
+    return np.array(out, dtype=np.int64)
 
 
 def k_volume(frame) -> float | np.ndarray:
     """k-dimensional volume of the parallelepiped spanned by frame columns.
 
-    frame has shape (..., n, k); the result is sqrt(det(G^T G)) with leading
-    batch dimensions preserved.
+    frame has shape (..., n, k); the result is sqrt(det(F^T F)) with leading
+    batch dimensions preserved. For k > 1 it is |det R| of the QR factor:
+    the Gram determinant squares the frame's condition number, so nearly
+    parallel columns would lose twice the digits.
     """
     arr = np.asarray(frame, dtype=float)
     if arr.ndim < 2:
@@ -272,9 +261,12 @@ def k_volume(frame) -> float | np.ndarray:
     n, k = arr.shape[-2], arr.shape[-1]
     if k > n:
         raise ValueError(f"frame has more columns ({k}) than rows ({n})")
-    gram = np.einsum("...ij,...ik->...jk", arr, arr)
-    det = np.linalg.det(gram) if k > 1 else gram[..., 0, 0]
-    vol = np.sqrt(np.clip(det, 0.0, None))
+    if k > 1:
+        r = np.linalg.qr(arr, mode="r")
+        vol = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    else:
+        gram = np.einsum("...ij,...ik->...jk", arr, arr)
+        vol = np.sqrt(np.clip(gram[..., 0, 0], 0.0, None))
     if arr.ndim == 2:
         return float(vol)
     return vol

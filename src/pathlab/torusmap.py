@@ -378,6 +378,13 @@ class TorusMap:
                     pairs.append((i, j))
         return pairs
 
+    def sample_uniform(self, samples, seed):
+        """Points uniform on the torus: one (samples, n) draw from the seed."""
+        samples = int(samples)
+        if samples < 1:
+            raise ValueError("need at least one sample")
+        return np.random.default_rng(seed).random((samples, self.n))
+
     def sample_support(self, samples, seed):
         """Points uniform in the union of the (disjoint) rotation supports.
 
@@ -437,8 +444,7 @@ class TorusMap:
         This is an estimate, not a certified bound; support_sampled reports
         whether any sample actually landed in a rotation support.
         """
-        rng = np.random.default_rng(seed)
-        pts = rng.random((int(samples), self.n))
+        pts = self.sample_uniform(samples, seed)
         fx = self.apply(pts)
         lin = _mod1(_apply_matrix(pts, self._a))
         d0 = np.linalg.norm(_wrap_half(fx - lin), axis=-1)

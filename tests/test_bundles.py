@@ -77,10 +77,10 @@ def _weakest(map_, x, k):
 
 
 def _splitting(map_, x, dims):
-    """Blocks at one point, and the ladder depths reached both ways."""
-    blocks, status, m_fwd, m_bwd = splitting_frames(map_, np.asarray(x, float)[None], dims)
+    """Blocks at one point, and the deepest ladder rung it reached."""
+    blocks, status, depth = splitting_frames(map_, np.asarray(x, float)[None], dims)
     assert status[0] == OK
-    return [blk[0] for blk in blocks], m_fwd, m_bwd
+    return [blk[0] for blk in blocks], int(depth[0])
 
 
 def test_strongest_linear_lines_and_planes(linear_map):
@@ -176,16 +176,16 @@ def test_intersection_contained_in_both_inputs(seed):
 
 def test_splitting_linear_recovers_eigen(linear_map):
     v = linear_map.eigen.vectors
-    blocks, m_fwd, m_bwd = _splitting(linear_map, X0, (1, 1, 1))
+    blocks, depth = _splitting(linear_map, X0, (1, 1, 1))
     assert [blk.shape for blk in blocks] == [(3, 1)] * 3
     for i in range(3):
         assert max_principal_angle(blocks[i], v[:, i:i + 1]) < 1e-10
-    assert m_fwd >= 40 and m_bwd >= 40
+    assert depth >= 40
 
 
 def test_splitting_two_block(linear_map):
     v = linear_map.eigen.vectors
-    blocks, _, _ = _splitting(linear_map, X0, (2, 1))
+    blocks, _ = _splitting(linear_map, X0, (2, 1))
     assert max_principal_angle(blocks[0], v[:, :2]) < 1e-10
     assert max_principal_angle(blocks[1], v[:, 2:]) < 1e-10
 
@@ -215,16 +215,16 @@ def _point_with_clear_orbit(map_, span=46, count=64):
 
 def test_splitting_perturbed_locally_linear_point(perturbed_map):
     x = _point_with_clear_orbit(perturbed_map)
-    blocks, _, _ = _splitting(perturbed_map, x, (1, 1, 1))
+    blocks, _ = _splitting(perturbed_map, x, (1, 1, 1))
     v = perturbed_map.eigen.vectors
     for i in range(3):
         assert max_principal_angle(blocks[i], v[:, i:i + 1]) < 1e-9
 
 
 def test_splitting_invariance_under_map(perturbed_map):
-    here, _, _ = _splitting(perturbed_map, X0, (1, 1, 1))
+    here, _ = _splitting(perturbed_map, X0, (1, 1, 1))
     fx = perturbed_map.apply(X0)
-    there, _, _ = _splitting(perturbed_map, fx, (1, 1, 1))
+    there, _ = _splitting(perturbed_map, fx, (1, 1, 1))
     jac = perturbed_map.differential(X0)
     for i in range(3):
         pushed = jac @ here[i]
@@ -237,9 +237,9 @@ def test_bundle_frames_linear_any_selector(linear_map):
     v = linear_map.eigen.vectors
     xs = np.array([X0, [0.5, 0.5, 0.5]])
     for sel, cols in (((2,), [1]), ((1, 3), [0, 2]), ((1, 2), [0, 1])):
-        frames, status, used = bundle_frames(linear_map, xs, BundleSelector(sel))
+        frames, status, depth = bundle_frames(linear_map, xs, BundleSelector(sel))
         assert status.max() == 0
-        assert used == 0
+        assert depth.dtype == np.int16 and np.array_equal(depth, [0, 0])
         assert np.allclose(frames[0], v[:, cols], atol=0)
 
 
@@ -372,8 +372,9 @@ def test_frames_do_not_depend_on_batch(perturbed_map):
     xs = np.vstack([np.random.default_rng(21).random((40, 3)),
                     perturbed_map.sample_support(20, 5)])
     sel = BundleSelector((2,))
-    whole, st_whole, _ = bundle_frames(perturbed_map, xs, sel)
+    whole, st_whole, d_whole = bundle_frames(perturbed_map, xs, sel)
     for part in (slice(0, 1), slice(3, 17), slice(35, 60)):
-        frames, status, _ = bundle_frames(perturbed_map, xs[part], sel)
+        frames, status, depth = bundle_frames(perturbed_map, xs[part], sel)
         assert np.array_equal(frames, whole[part])
         assert np.array_equal(status, st_whole[part])
+        assert np.array_equal(depth, d_whole[part])

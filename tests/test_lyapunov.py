@@ -1,6 +1,7 @@
 """Spectra and integrated exponents against eigenvalue-log oracles."""
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,12 @@ from pathlab.bundles import OK, STATUS_E2ZERO, NoGap, bundle_frames
 from pathlab.homology import BundleSelector
 from pathlab.lyapunov import (
     _TWIST_RULES,
+    _bundle_values,
     _line_logs,
-    _one_step_logs,
     _line_values,
-    _support_values,
+    _one_step_logs,
+    _per_sample,
+    _splitting_values,
     birkhoff_exponent,
     horizon,
     integrated_exponent,
@@ -277,19 +280,25 @@ def test_chart_line_flags_vanishing_e2(perturbed_map):
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
 @settings(max_examples=8, deadline=None)
-def test_gap_values_independent_of_chunks_and_threads(seed, chunk, threads):
+def test_per_sample_values_independent_of_chunks_and_threads(seed, chunk, threads):
     map_ = TorusMap.from_dict(CALIBRATION["map"])
-    pts = map_.sample_support(40, seed)
-    steps = horizon(map_.eigen)
-    whole = _support_values(map_, pts, steps)
+    inside = map_.sample_support(40, seed)
+    # frame transport is slow: 12 points, half of them in the support
+    mixed = np.vstack([map_.sample_uniform(6, seed), inside[:6]])
+    cases = ((partial(_line_values, map_, steps=horizon(map_.eigen)), inside),
+             (partial(_bundle_values, map_, selector=BundleSelector((2,))), mixed),
+             (partial(_splitting_values, map_), mixed))
     saved = lyapunov.CHUNK
     lyapunov.CHUNK = chunk
     try:
-        split = _support_values(map_, pts, steps, threads)
+        split = [_per_sample(fn, pts, threads) for fn, pts in cases]
     finally:
         lyapunov.CHUNK = saved
-    for a, b in zip(whole, split):
-        assert np.array_equal(a, b)
+    for (fn, pts), got in zip(cases, split):
+        want = fn(pts)
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
 
 
 def test_horizon_drowns_the_seed_error(calibration_map):

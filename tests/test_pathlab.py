@@ -4,6 +4,10 @@ cross-thread byte determinism."""
 import json
 import math
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,17 @@ def test_fixed_transport_depth_key_rejected(tmp_path, capsys):
     assert main(["exponents", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert "config.mc: unknown keys ['batch']" in capsys.readouterr().err
+
+
+def test_removed_detect_knobs_rejected(tmp_path, capsys):
+    for key, value in (("volume_tol", 1e-6), ("closedness_steps", 4)):
+        cfg = {"map": {"linear": CAT}, "detect": {key: value}}
+        msg = f"config.detect: unknown keys ['{key}']"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            ExperimentConfig.from_dict(cfg)
+        assert main(["detect", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert msg in capsys.readouterr().err
 
 
 def test_config_defaults_filled():
@@ -491,3 +506,23 @@ def test_growth_csv_one_row_per_step(tmp_path):
     lines = (out / "growth_steps.csv").read_text().splitlines()
     n_runs = 2 * 1
     assert len(lines) == 1 + n_runs * (cfg["leaf"]["steps"] + 1)
+
+
+def test_benchmark_trace_finds_every_layer():
+    # the benchmark's traced run wraps pathlab functions by name; it patches
+    # the imported package for good, so it runs in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    code = ("import importlib.util, json\n"
+            "spec = importlib.util.spec_from_file_location('spans', {!r})\n"
+            "spans = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(spans)\n"
+            "recorder = spans.Recorder()\n"
+            "spans.install(recorder)\n"
+            "print(json.dumps(recorder.missing))\n").format(
+                str(root / "perfbench" / "spans.py"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

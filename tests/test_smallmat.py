@@ -317,11 +317,12 @@ def test_exterior_power_det_identity():
 
 
 def test_exterior_power_float_input():
-    a = np.array(COMPANION, dtype=float) / 3.0
-    e2 = exterior_power(a, 2)
-    assert e2.dtype == np.float64
-    exact = exterior_power(COMPANION, 2).astype(float) / 9.0
-    assert np.allclose(e2, exact, atol=1e-12)
+    # integer-valued floats take the exact path; other floats are rejected
+    e2 = exterior_power(3.0 * np.array(COMPANION, dtype=float), 2)
+    assert e2.dtype == np.int64
+    assert np.array_equal(e2, 9 * exterior_power(COMPANION, 2))
+    with pytest.raises(ValueError):
+        exterior_power(np.array(COMPANION, dtype=float) / 3.0, 2)
 
 
 # ---------------------------------------------------------------- k_volume
@@ -344,6 +345,15 @@ def test_k_volume_against_cross_product():
 def test_k_volume_degenerate_frame():
     frame = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
     assert k_volume(frame) < 1e-12
+
+
+def test_k_volume_nearly_parallel_columns():
+    # the Gram determinant 1 + d^2 - 1 keeps no digit of d^2 here
+    for d in (1e-6, 1e-9):
+        frame = np.array([[1.0, 1.0], [0.0, d], [0.0, 0.0]])
+        assert abs(k_volume(frame) - d) <= 1e-12 * d
+        batched = k_volume(np.stack([frame, 2.0 * frame]))
+        assert np.allclose(batched, [d, 4.0 * d], rtol=1e-12, atol=0.0)
 
 
 def test_k_volume_batched():

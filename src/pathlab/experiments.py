@@ -36,6 +36,8 @@ from .leafgrowth import (
 from .lyapunov import (
     DegenerateFrame,
     birkhoff_exponent,
+    chart_line_holds,
+    chart_line_violation,
     integrated_exponent,
     qr_spectrum,
     splitting_exponents,
@@ -231,18 +233,25 @@ def cmd_cycle(config: ExperimentConfig) -> dict:
     }
 
 
+def _gap_check(map_, integrated, mc, threads):
+    """The detector's in-support gap against the plain uniform integrated
+    exponent of the line [2] less ln|lambda_2|, stderrs in quadrature."""
+    rep = support_gap(map_, mc["samples"], mc["seed"], threads)
+    diff = integrated["estimate"] - math.log(abs(float(map_.eigen.values[1])))
+    z = abs(diff - rep["estimate"]) / math.hypot(integrated["stderr"], rep["stderr"])
+    return {"gap": rep["estimate"], "stderr": rep["stderr"], "z": z,
+            "ok": bool(z <= 3.0)}
+
+
 def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     """Lyapunov spectrum, per-direction integrated exponents, cross-checks."""
     map_ = config.build_map()
     mc = config.mc
     exp = config.exponents
-    spectrum = []
-    for x in map_.sample_uniform(exp["spectrum_points"], mc["seed"] + 101):
-        expo = qr_spectrum(map_, x, exp["qr_steps"])
-        spectrum.append({
-            "point": [float(v) for v in x],
-            "exponents": [float(v) for v in expo],
-        })
+    points = map_.sample_uniform(exp["spectrum_points"], mc["seed"] + 101)
+    spectrum = [{"point": [float(v) for v in x],
+                 "exponents": [float(v) for v in expo]}
+                for x, expo in zip(points, qr_spectrum(map_, points, exp["qr_steps"]))]
     flag = splitting_exponents(map_, mc["samples"], seed=mc["seed"],
                                threads=threads)
     bundles = flag["bundles"]
@@ -258,6 +267,9 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     rejected_max = max(rejected_max,
                        integrated["rejected"] / integrated["N"],
                        birkhoff["rejected"] / birkhoff["N"])
+    gap_check = None
+    if sel.indices == (2,) and map_.rotations and chart_line_holds(map_):
+        gap_check = _gap_check(map_, integrated, mc, threads)
     diff = abs(birkhoff["estimate"] - integrated["estimate"])
     joint = math.sqrt(birkhoff["stderr"] ** 2 + integrated["stderr"] ** 2)
     if joint > 0.0:
@@ -280,35 +292,34 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
         "birkhoff": birkhoff,
         "agreement": {"difference": float(diff), "joint_stderr": float(joint),
                       "z": z, "ok": bool(agree)},
+        "gap_check": gap_check,
         "rejected_rate": float(rejected_max),
         "inconclusive": bool(rejected_max > _REJECT_RATE_LIMIT),
     }
 
 
-def _detect_prechecks(map_, eigen):
-    n = map_.n
-    if n < 3:
+def _detect_prechecks(map_):
+    bad = chart_line_violation(map_)
+    if bad is None:
+        return
+    if bad[0] == "dimension":
         raise ConfigError(
             "config.map: the detector needs at least two expanding "
             "eigen-directions over a contracting one, so dimension >= 3")
-    if abs(eigen.values[1]) <= 1.0:
+    if bad[0] == "lambda_2":
         raise ConfigError(
             "config.map: the second eigen-direction must expand for the "
             "weak-unstable foliation to exist")
-    for idx, rot in enumerate(map_.rotations):
-        plane = {rot.plane[0] + 1, rot.plane[1] + 1}
-        if plane != {1, 2}:
-            raise ConfigError(
-                f"config.map.rotations[{idx}].plane: the detector measures "
-                "the weak-unstable foliation, rotations must mix "
-                "eigen-directions 1 and 2")
-    overlaps = map_.support_overlaps()
-    if overlaps:
-        i, j = overlaps[0]
+    if bad[0] == "plane":
         raise ConfigError(
-            f"config.map.rotations[{j}]: support overlaps the support of "
-            f"rotations[{i}] on the torus; the detector samples each "
-            "support separately and needs them disjoint")
+            f"config.map.rotations[{bad[1]}].plane: the detector measures "
+            "the weak-unstable foliation, rotations must mix "
+            "eigen-directions 1 and 2")
+    _, i, j = bad
+    raise ConfigError(
+        f"config.map.rotations[{j}]: support overlaps the support of "
+        f"rotations[{i}] on the torus; the detector samples each "
+        "support separately and needs them disjoint")
 
 
 def _significance(gap, stderr, samples):
@@ -332,8 +343,8 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     """
     det = config.detect
     mc = config.mc
-    eigen = eigen_real(map_.linear)
-    _detect_prechecks(map_, eigen)
+    eigen = map_.eigen
+    _detect_prechecks(map_)
     foliation = (2,)
     preflights = {}
     failed = None

@@ -8,15 +8,18 @@ chart-metric integrand vanishes off the rotation supports, equals a closed
 form of the chart point at every support point whose orbit does not come
 back, and otherwise needs only the chart Jacobians at the returns. So the
 gap is an exact quadrature of that closed form plus a Monte Carlo
-correction from the few samples that return.
+correction from the few samples that return. Under the same preconditions
+(chart_line_holds) the Birkhoff average of that line needs no frames
+either: one backward sweep over its orbit pulls the normal back through the
+visits, the only points where the integrand is not 0.
 
 Every estimator has the same four steps: draw its points from the seed in
 one pass (TorusMap.sample_uniform or sample_support, or one orbit), run a
-per-sample function on fixed-size chunks (_per_sample), keep the samples
-whose status is OK (_valid), and reduce them once (_spread). Per-sample
-values are concatenated in chunk order, so estimates are byte-identical for
-any worker count and a sample's values never depend on which chunk it rode
-in.
+per-sample function on fixed-size chunks (_per_sample; the orbit sweep is
+one pass), keep the samples whose status is OK (_valid), and reduce them
+once (_spread). Per-sample values are concatenated in chunk order, so
+estimates are byte-identical for any worker count and a sample's values
+never depend on which chunk it rode in.
 """
 from __future__ import annotations
 
@@ -55,25 +58,26 @@ def qr_spectrum(map_, x, n, burn_in=100):
 
     The frame is aligned for burn_in steps before log stretches are
     accumulated; without that, the O(1) alignment transient pollutes the
-    average at order 1/n. Returns exponents sorted descending.
+    average at order 1/n. Returns exponents sorted descending. x may be a
+    batch (B, n): every point steps in the same loop, one stacked QR per
+    step, and row b equals the call at x[b] bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one accumulation step")
     dim = map_.n
-    y = np.asarray(x, dtype=float)[None, :]
-    q = generic_seed_frame(dim, dim)
-    logs = np.zeros(dim)
+    x = np.asarray(x, dtype=float)
+    y = np.atleast_2d(x)
+    q = np.broadcast_to(generic_seed_frame(dim, dim), (y.shape[0], dim, dim))
+    logs = np.zeros(y.shape)
     for j in range(int(burn_in) + int(n)):
-        jac = map_.differential(y)[0]
-        q, r = np.linalg.qr(jac @ q)
-        diag = np.diag(r)
-        sign = np.where(diag < 0, -1.0, 1.0)
-        q = q * sign
+        q, r = np.linalg.qr(map_.differential(y) @ q)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
         if j >= burn_in:
             logs += np.log(np.abs(diag))
         y = map_.apply(y)
-    expo = logs / float(n)
-    return np.sort(expo)[::-1]
+    expo = np.sort(logs / float(n), axis=1)[:, ::-1]
+    return expo if x.ndim == 2 else expo[0]
 
 
 def _one_step_logs(map_, xs, frames):
@@ -170,6 +174,28 @@ def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
 
 # ------------------------------------------------ in-support weak-unstable gap
 
+def chart_line_violation(map_):
+    """The first precondition of the chart-metric weak-unstable line that
+    map_ breaks, or None: ("dimension",) below 3 dimensions, ("lambda_2",)
+    when |lambda_2| <= 1, ("plane", k) when rotation k is not in chart plane
+    {1, 2}, ("overlap", i, j) when supports i < j meet."""
+    if map_.n < 3:
+        return ("dimension",)
+    if abs(map_.eigen.values[1]) <= 1.0:
+        return ("lambda_2",)
+    for k, rot in enumerate(map_.rotations):
+        if set(rot.plane) != {0, 1}:
+            return ("plane", k)
+    overlaps = map_.support_overlaps()
+    return ("overlap",) + overlaps[0] if overlaps else None
+
+
+def chart_line_holds(map_) -> bool:
+    """True where the weak-unstable integrand in the eigen-chart metric
+    vanishes off the rotation supports (support_gap, birkhoff_exponent)."""
+    return chart_line_violation(map_) is None
+
+
 def horizon(eigen) -> int:
     """Forward steps the covector pull-back looks ahead: the smallest T with
     |lambda_2 / lambda_1|^T < 2^-53, past which a visit moves no bit of g."""
@@ -199,6 +225,15 @@ def _line_logs(block, normal):
     return vals, np.where(ok, OK, STATUS_E2ZERO).astype(np.int8)
 
 
+def _pull_back(blk, n1, n2, q, gap):
+    """The first two chart components of the hyperplane normal at a point
+    with chart block blk, up to scale, from the normal (n1, n2) gap steps
+    later: R'^T (n1, q^gap n2). Between visits only n2/n1 moves, by
+    q = lambda_2/lambda_1 per step."""
+    m2 = n2 * q ** gap
+    return blk[0, 0] * n1 + blk[1, 0] * m2, blk[0, 1] * n1 + blk[1, 1] * m2
+
+
 def _line_values(map_, xs, steps):
     """Per-sample (g, g0, returned, status) of the chart-metric integrand.
 
@@ -223,19 +258,13 @@ def _line_values(map_, xs, steps):
     n2 = np.zeros(b)
     last = np.full(b, steps + 1)
     for k, hit, blk in reversed(visits):
-        m1 = n1[hit]
-        m2 = n2[hit] * q ** (last[hit] - k)
-        a1 = blk[0, 0] * m1 + blk[1, 0] * m2
-        a2 = blk[0, 1] * m1 + blk[1, 1] * m2
+        a1, a2 = _pull_back(blk, n1[hit], n2[hit], q, last[hit] - k)
         size = np.hypot(a1, a2)
         n1[hit] = a1 / size
         n2[hit] = a2 / size
         last[hit] = k
     block = map_.chart_blocks(xs)
-    m2 = n2 * q ** last
-    normal = (block[0, 0] * n1 + block[1, 0] * m2,
-              block[0, 1] * n1 + block[1, 1] * m2)
-    g, status = _line_logs(block, normal)
+    g, status = _line_logs(block, _pull_back(block, n1, n2, q, last))
     with np.errstate(divide="ignore"):
         g0 = -np.log(np.abs(block[0, 0]))
     returned = last <= steps
@@ -400,27 +429,59 @@ def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
     }
 
 
+def _orbit_line_values(map_, orbit, n):
+    """Per-point (g, status) of the chart-metric integrand at the first n
+    points of an orbit that runs at least the horizon past them.
+
+    One backward sweep pulls the seed normal e1* from just past the orbit's
+    end back over its visits to a support, as _line_values does per sample;
+    g is formed at the visits and is exactly 0 at every other point.
+    """
+    q = float(map_.eigen.values[1]) / float(map_.eigen.values[0])
+    visit = np.flatnonzero(map_.support_mask(orbit))
+    blocks = map_.chart_blocks(orbit[visit])
+    normal = np.empty((2, visit.size))
+    n1, n2, last = 1.0, 0.0, orbit.shape[0]
+    for j in range(visit.size - 1, -1, -1):
+        a1, a2 = _pull_back(blocks[:, :, j], n1, n2, q, last - visit[j])
+        size = math.hypot(a1, a2)
+        n1, n2, last = a1 / size, a2 / size, visit[j]
+        normal[:, j] = n1, n2
+    keep = visit < n
+    g = np.zeros(n)
+    status = np.full(n, OK, dtype=np.int8)
+    g[visit[keep]], status[visit[keep]] = _line_logs(blocks[:, :, keep],
+                                                     normal[:, keep])
+    return g, status
+
+
 def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> dict:
     """Time average of the restricted log-Jacobian along one orbit.
 
     Cross-validates the space average; the stderr comes from batch means
-    because consecutive orbit samples are correlated.
+    because consecutive orbit samples are correlated. For the line [2] on a
+    map where chart_line_holds, the integrand is measured in the eigen-chart
+    metric, which differs from the Euclidean one by a coboundary: one sweep
+    over the orbit (_orbit_line_values) gives ln|lambda_2| + mean(g) with no
+    frame transport ("m" is 0). Every other case transports bundle frames
+    at every orbit point.
     """
     selector.validate_for(map_.n)
     n = int(n)
     if n < 1:
         raise ValueError("need at least one orbit step")
-    dim = map_.n
-    orbit = np.empty((n, dim))
-    y = np.asarray(x0, dtype=float)[None, :]
-    for j in range(n):
-        orbit[j] = y[0]
-        y = map_.apply(y)
-    valid, depth = _bundle_run(map_, selector, orbit, threads, "orbit sample")
+    if selector.indices == (2,) and chart_line_holds(map_):
+        orbit = map_.orbit(x0, n + horizon(map_.eigen))
+        valid = _valid(*_orbit_line_values(map_, orbit, n), "orbit sample")
+        offset, depth = math.log(abs(float(map_.eigen.values[1]))), 0
+    else:
+        valid, depth = _bundle_run(map_, selector, map_.orbit(x0, n), threads,
+                                   "orbit sample")
+        offset = 0.0
     est, stderr = _spread(valid, blocks=min(100, max(2, valid.size // 1000)))
     return {
         "bundle": list(selector.indices),
-        "estimate": est,
+        "estimate": offset + est,
         "stderr": stderr,
         "N": n,
         "m": depth,

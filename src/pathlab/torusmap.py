@@ -70,6 +70,19 @@ def _apply_matrix(points, mat):
     return out
 
 
+def _chart_radius2(y, center, chart_inv):
+    # squared chart radius of one point in Python floats, as chart_coords
+    d = [v - c for v, c in zip(y, center)]
+    d = [v - math.floor(v + 0.5) for v in d]
+    total = 0.0
+    for row in chart_inv:
+        u = 0.0
+        for m, v in zip(row, d):
+            u += m * v
+        total += u * u
+    return total
+
+
 def _mod1(y):
     # y - floor(y) equals y % 1.0 bit for bit (both add the same integer,
     # with the same rounding) at a quarter of the cost
@@ -291,6 +304,43 @@ class TorusMap:
         pts, scalar = self._batch(x)
         y = _mod1(self.lift_apply(pts))
         return y[0] if scalar else y
+
+    def orbit(self, x0, n):
+        """The (n, dim) orbit x0, f x0, ..., f^(n-1) x0, bit for bit the
+        points that iterating apply gives.
+
+        A step whose point lies off every support, with a chart-radius
+        margin of 1e-9 relative that covers the scalar rounding, has every
+        rotation exactly the identity: it runs in plain Python floats as
+        A y in _apply_matrix's accumulation order, then _mod1. Every other
+        step goes through apply.
+        """
+        n = int(n)
+        if n < 1:
+            raise ValueError("need at least one orbit point")
+        pts, scalar = self._batch(x0)
+        if not scalar:
+            raise ValueError("an orbit starts at one point")
+        a = self._a.tolist()
+        balls = [(rot.center.tolist(), rot.chart_inv.tolist(),
+                  (rot.rho * (1.0 + 1e-9)) ** 2) for rot in self.rotations]
+        out = np.empty((n, self.n))
+        y = pts[0].tolist()
+        for j in range(n):
+            out[j] = y
+            if any(_chart_radius2(y, c, inv) < r2 for c, inv, r2 in balls):
+                y = self.apply(out[j]).tolist()
+                continue
+            z = []
+            for row in a:
+                acc = y[0] * row[0]
+                for k in range(1, len(y)):
+                    acc = acc + y[k] * row[k]
+                acc = acc - math.floor(acc)
+                # numpy's floor keeps -0.0, and -0.0 - -0.0 is +0.0
+                z.append(0.0 if acc == 1.0 or acc == 0.0 else acc)
+            y = z
+        return out
 
     def inverse_apply(self, x):
         pts, scalar = self._batch(x)

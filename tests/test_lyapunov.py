@@ -14,13 +14,18 @@ from pathlab.bundles import OK, STATUS_E2ZERO, NoGap, bundle_frames
 from pathlab.homology import BundleSelector
 from pathlab.lyapunov import (
     _TWIST_RULES,
+    _bundle_run,
     _bundle_values,
     _line_logs,
     _line_values,
     _one_step_logs,
+    _orbit_line_values,
     _per_sample,
+    _spread,
     _splitting_values,
     birkhoff_exponent,
+    chart_line_holds,
+    chart_line_violation,
     horizon,
     integrated_exponent,
     qr_spectrum,
@@ -85,6 +90,15 @@ def test_qr_spectrum_identity():
 def test_qr_spectrum_validates_steps(linear_map):
     with pytest.raises(ValueError):
         qr_spectrum(linear_map, X0, 0)
+
+
+def test_qr_spectrum_batch_rows_match_single_points(perturbed_map):
+    pts = np.vstack([np.random.default_rng(5).random((2, 3)),
+                     perturbed_map.sample_support(1, 5)])
+    got = qr_spectrum(perturbed_map, pts, 300)
+    assert got.shape == (3, 3)
+    for x, row in zip(pts, got):
+        assert np.array_equal(row, qr_spectrum(perturbed_map, x, 300))
 
 
 def test_qr_spectrum_perturbed_sum_zero(perturbed_map):
@@ -372,3 +386,67 @@ def test_support_gap_linear_is_exactly_zero(linear_map):
     assert (rep["twist_integral"], rep["return_correction"], rep["returned"]) == (0.0, 0.0, 0)
     with pytest.raises(ValueError):
         support_gap(linear_map, N=0)
+
+
+# ---------------------------------------------------------------- one-pass birkhoff
+
+def test_chart_line_preconditions(calibration_map, linear_map):
+    a = UnimodularMatrix(COMPANION)
+    eig = eigen_real(a)
+    assert chart_line_holds(calibration_map) and chart_line_holds(linear_map)
+    assert chart_line_violation(TorusMap(UnimodularMatrix(CAT))) == ("dimension",)
+    # the inverse has one expanding direction only
+    assert chart_line_violation(TorusMap(a.inverse())) == ("lambda_2",)
+    rots = [build_localized_rotation(eig, center=CENTER, plane=(2, 1), rho=0.05,
+                                     theta_max=0.3),
+            build_localized_rotation(eig, center=[0.81, 0.97, 0.12], plane=(1, 3),
+                                     rho=0.05, theta_max=0.3)]
+    assert chart_line_violation(TorusMap(a, rots)) == ("plane", 1)
+    twin = build_localized_rotation(eig, center=[0.32, 0.47, 0.62], plane=(1, 2),
+                                    rho=0.05, theta_max=0.3)
+    assert chart_line_violation(TorusMap(a, [rots[0], twin])) == ("overlap", 0, 1)
+
+
+def test_orbit_line_matches_frame_transport(calibration_map, map_4d):
+    for map_ in (calibration_map, map_4d):
+        steps = horizon(map_.eigen)
+        pts = map_.sample_support(4000, 4)
+        returned = _line_values(map_, pts, steps)[2]
+        # orbits from five samples that return within the horizon, and two
+        # that do not
+        for x0 in np.vstack([pts[returned][:5], pts[~returned][:2]]):
+            n = 200
+            orbit = map_.orbit(x0, n + steps)
+            g, status = _orbit_line_values(map_, orbit, n)
+            visit = np.flatnonzero(map_.support_mask(orbit[:n]))
+            assert visit[0] == 0 and np.all(status == OK)
+            assert np.all(np.delete(g, visit) == 0.0)
+            want, frame_status = frame_path_logs(map_, orbit[visit])
+            assert np.all(frame_status == OK)
+            assert np.max(np.abs(g[visit] - want)) < 1e-13
+
+
+def test_birkhoff_one_pass_matches_frame_path(calibration_map):
+    n = 6000
+    x0 = calibration_map.sample_uniform(1, 202)[0]
+    rep = birkhoff_exponent(calibration_map, BundleSelector((2,)), x0, n)
+    valid, depth = _bundle_run(calibration_map, BundleSelector((2,)),
+                               calibration_map.orbit(x0, n), None, "orbit sample")
+    est, stderr = _spread(valid, blocks=min(100, max(2, valid.size // 1000)))
+    assert depth >= 40 and rep["m"] == 0 and rep["rejected"] == 0
+    assert rep["stderr"] > 0.0
+    # the chart and Euclidean integrands differ by a coboundary, whose
+    # endpoint term is below 2^-53 here: neither end lies just before a visit
+    assert abs(rep["estimate"] - est) < 1e-12
+    assert rep["stderr"] == pytest.approx(stderr, rel=0.2)
+
+
+def test_birkhoff_frame_path_off_the_chart_line(calibration_map):
+    a = UnimodularMatrix(COMPANION)
+    tilted = TorusMap(a, [build_localized_rotation(
+        eigen_real(a), center=CENTER, plane=(1, 3), rho=0.12, theta_max=0.5)])
+    assert not chart_line_holds(tilted)
+    x0 = calibration_map.sample_uniform(1, 7)[0]
+    for map_, sel in ((calibration_map, (1, 2)), (tilted, (2,))):
+        rep = birkhoff_exponent(map_, BundleSelector(sel), x0, 300)
+        assert rep["m"] >= 40

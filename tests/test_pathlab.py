@@ -236,6 +236,42 @@ def test_exponents_cat_linear_exactness():
     assert expo[1] == pytest.approx(-0.9624236501192069, abs=1e-9)
 
 
+def _small_exponents(cfg, selector=(2,)):
+    cfg.update(selector=list(selector),
+               exponents={"qr_steps": 50, "spectrum_points": 1, "orbit": 400})
+    return cmd_exponents(ExperimentConfig.from_dict(cfg))
+
+
+def test_exponents_gap_check_on_the_chart_line():
+    rep = _small_exponents(detect_config(samples=600))
+    check = rep["gap_check"]
+    assert set(check) == {"gap", "stderr", "z", "ok"}
+    assert check["gap"] > 0.0 and check["stderr"] > 0.0
+    gap = lyapunov.support_gap(ExperimentConfig.from_dict(
+        detect_config(samples=600)).build_map(), 600, 0)
+    assert (check["gap"], check["stderr"]) == (gap["estimate"], gap["stderr"])
+    diff = rep["integrated"]["estimate"] - math.log(LAMBDA2) - check["gap"]
+    want = abs(diff) / math.hypot(rep["integrated"]["stderr"], check["stderr"])
+    assert check["z"] == pytest.approx(want, rel=1e-9)
+    assert check["ok"] == (check["z"] <= 3.0)
+    assert rep["birkhoff"]["m"] == 0
+
+
+def test_exponents_gap_check_null_off_the_chart_line():
+    assert _small_exponents(detect_config(theta=0, samples=300))["gap_check"] is None
+    assert _small_exponents(detect_config(samples=300), (1,))["gap_check"] is None
+    cfg = detect_config(samples=300)
+    cfg["map"]["rotations"][0]["plane"] = [3, 1]
+    assert _small_exponents(cfg)["gap_check"] is None
+
+
+def test_detect_requires_expanding_second_direction():
+    cfg = {"map": {"linear": [[6, -5, 1], [1, 0, 0], [0, 1, 0]]},
+           "mc": {"samples": 100}}
+    with pytest.raises(ConfigError, match=r"config\.map: the second eigen-direction"):
+        cmd_detect(ExperimentConfig.from_dict(cfg))
+
+
 def test_detect_pipeline_fields_and_gate():
     rep = cmd_detect(ExperimentConfig.from_dict(detect_config()))
     assert rep["chi_provenance"] == "exact-homology"

@@ -486,3 +486,77 @@ def test_apply_matrix_is_rowwise_fixed_order(seed, rows, n):
         for k in range(1, n):
             acc = acc + pts[r, k] * mat[:, k]
         assert np.array_equal(out[r], acc)
+
+
+# ------------------------------------------------------------------ orbits
+
+M4 = [[0, 0, 0, 1], [1, 0, 0, 3], [0, 1, 0, -6], [0, 0, 1, -6]]
+
+# (linear part, rotations as (center, plane, rho)): 3-D and 4-D, one and two
+# rotations, planes inside and outside chart plane {1, 2}
+ORBIT_MAPS = (
+    (COMPANION, [(CENTER, (2, 1), 0.12)]),
+    (COMPANION, [(CENTER, (2, 1), 0.05), ([0.81, 0.97, 0.12], (1, 3), 0.08)]),
+    (M4, [([0.3, 0.55, 0.7, 0.45], (1, 2), 0.1)]),
+    (M4, [([0.3, 0.55, 0.7, 0.45], (2, 1), 0.08),
+          ([0.8, 0.05, 0.2, 0.95], (2, 4), 0.06)]),
+)
+
+
+def _orbit_map(which):
+    linear, rots = ORBIT_MAPS[which]
+    a = UnimodularMatrix(linear)
+    eig = eigen_real(a)
+    return TorusMap(a, [build_localized_rotation(eig, center=c, plane=p, rho=rho,
+                                                 theta_max=0.7)
+                        for c, p, rho in rots])
+
+
+def _iterated_apply(map_, x0, n):
+    out = np.empty((n, map_.n))
+    y = np.asarray(x0, dtype=float)
+    for j in range(n):
+        out[j] = y
+        y = map_.apply(y)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(st.integers(0, len(ORBIT_MAPS) - 1), st.sampled_from(["in", "near", "out"]),
+       st.integers(0, 2**32 - 1), st.floats(-3e-9, 3e-9))
+@settings(max_examples=30, deadline=None)
+def test_orbit_is_iterated_apply_bit_for_bit(which, where, seed, eps):
+    map_ = _orbit_map(which)
+    rng = np.random.default_rng(seed)
+    rot = map_.rotations[rng.integers(len(map_.rotations))]
+    if where == "in":
+        x0 = map_.sample_support(1, seed)[0]
+    elif where == "near":
+        # on the support boundary, within the stepper's 1e-9 margin or just past it
+        u = rng.standard_normal(map_.n)
+        u *= rot.rho * (1.0 + eps) / np.linalg.norm(u)
+        x0 = _mod1(rot.center + rot.chart @ u)
+    else:
+        x0 = map_.sample_uniform(1, seed)[0]
+    want = _iterated_apply(map_, x0, 300)
+    assert _same_bits(map_.orbit(x0, 300), want)
+
+
+def test_orbit_keeps_positive_zero():
+    # A 0 accumulates -0.0 in the first row; _mod1 turns it into +0.0
+    m = TorusMap(UnimodularMatrix([[-2, -1], [-1, -1]]))
+    x0 = np.zeros(2)
+    assert _same_bits(m.orbit(x0, 5), _iterated_apply(m, x0, 5))
+    x0 = np.array([0.5, 0.25])
+    assert _same_bits(m.orbit(x0, 60), _iterated_apply(m, x0, 60))
+
+
+def test_orbit_validates(perturbed_map):
+    with pytest.raises(ValueError):
+        perturbed_map.orbit(np.zeros(3), 0)
+    with pytest.raises(ValueError):
+        perturbed_map.orbit(np.zeros((2, 3)), 5)
+    assert perturbed_map.orbit(np.array([0.1, 0.2, 0.3]), 1).tolist() == [[0.1, 0.2, 0.3]]

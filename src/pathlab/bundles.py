@@ -7,9 +7,16 @@ pseudo-orbit ending at the base point determines the same bundle up to
 O(roundoff), so drift of long backward orbits in the stable directions is
 harmless and no shadowing correction is needed.
 
-Every frame is certified by the alignment ladder: a sample is accepted at
-the first depth m of _LADDER where its frames after m and m + 5 transport
-steps agree within _CAUCHY_TOL, and reports carry the deepest m reached.
+Gram-Schmidt transport carries the whole flag: the leading j columns of a
+forward frame F span the strongest j-plane, those of a backward frame W
+the weakest. So a call's contiguous blocks [lo..hi] come from at most one
+F and one W: F[:hi] (lo = 1), W[:n-lo+1] (hi = n) or the meet of the two.
+
+Every flag is certified by the alignment ladder: a sample is accepted at
+the first depth m of _LADDER where, at every width the call slices (its
+cuts), its leading frames after m and m + 5 transport steps agree within
+_CAUCHY_TOL; reports carry the deepest m reached. Other widths go unchecked:
+a plane can settle while the lines in it never do (eigenvalues +-lambda).
 
 Batched entry points return per-sample status codes and ladder depths
 instead of raising, so Monte Carlo callers can count rejected samples;
@@ -61,10 +68,11 @@ def generic_seed_frame(n: int, k: int) -> np.ndarray:
 
 
 def _seed_for(n: int, k: int, direction: int) -> np.ndarray:
-    # backward transport seeds from the tail columns so that gap-free maps
-    # (identity) still produce distinct strongest/weakest spans to report on
+    # backward transport seeds from the tail columns, last first: gap-free
+    # maps (identity) still give distinct strongest/weakest spans, and each
+    # narrower seed is a leading slice of a wider one
     h = _hartley(n)
-    return h[:, :k].copy() if direction > 0 else h[:, n - k:].copy()
+    return h[:, :k].copy() if direction > 0 else h[:, ::-1][:, :k].copy()
 
 
 def _norms(cols):
@@ -185,18 +193,20 @@ def _transport_pair(map_, xs, k, m, direction):
             np.ascontiguousarray(np.moveaxis(f_short, -1, 0)), ok)
 
 
-def _aligned_frames(map_, xs, k, direction):
+def _aligned_frames(map_, xs, cuts, direction):
     xs = np.asarray(xs, dtype=float)
     b, n = xs.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    if not cuts or not all(1 <= c <= n for c in cuts):
+        raise ValueError(f"need widths 1 <= k <= {n}, got {cuts}")
+    k = max(cuts)
     frames = np.empty((b, n, k))
     status = np.full(b, STATUS_NOGAP, dtype=np.int8)
     depth = np.zeros(b, dtype=np.int16)
     pending = np.arange(b)
     for rung in _LADDER:
         f_long, f_short, ok = _transport_pair(map_, xs[pending], k, rung, direction)
-        ang = _batch_angles(f_long, f_short)
+        ang = np.max([_batch_angles(f_long[:, :, :c], f_short[:, :, :c])
+                      for c in cuts], axis=0)
         st = np.where(ang > _CAUCHY_TOL, STATUS_NOGAP, OK)
         st = np.where(ok, st, STATUS_DEGENERATE).astype(np.int8)
         frames[pending] = f_long
@@ -208,15 +218,15 @@ def _aligned_frames(map_, xs, k, direction):
     return frames, status, depth
 
 
-def strongest_frames(map_, xs, k):
-    """Batched strongest-k-plane frames: (frames, status, depth), with the
-    per-sample ladder depth m of the accepted (or last) transport."""
-    return _aligned_frames(map_, xs, k, +1)
+def strongest_frames(map_, xs, *cuts):
+    """Batched forward flag of width max(cuts), certified at every cut:
+    (frames, status, depth), depth the per-sample ladder rung m."""
+    return _aligned_frames(map_, xs, cuts, +1)
 
 
-def weakest_frames(map_, xs, k):
-    """Batched weakest-k-plane frames (most contracted directions)."""
-    return _aligned_frames(map_, xs, k, -1)
+def weakest_frames(map_, xs, *cuts):
+    """Batched backward flag, most contracted directions first."""
+    return _aligned_frames(map_, xs, cuts, -1)
 
 
 def _raise_status(code, where):
@@ -272,13 +282,29 @@ def intersect_frames(p, q):
     return frames, status
 
 
-def _between_frames(map_, xs, j, l):
-    """Strongest j-plane meet weakest l-plane, batched: (frames, status, depth)."""
-    strong, st_s, d_s = strongest_frames(map_, xs, j)
-    weak, st_w, d_w = weakest_frames(map_, xs, l)
-    frames, st = intersect_frames(strong, weak)
-    status = np.maximum(st, np.maximum(st_s, st_w)).astype(np.int8)
-    return frames, status, np.maximum(d_s, d_w)
+def _block_frames(map_, xs, bounds):
+    """Frames of contiguous 1-based blocks [lo..hi], batched: (blocks,
+    status, depth), from at most one forward and one backward flag."""
+    n = map_.n
+    fwd = sorted({hi for lo, hi in bounds if lo == 1 or hi < n})
+    bwd = sorted({n + 1 - lo for lo, hi in bounds if lo > 1})
+    runs = [frames_of(map_, xs, *cuts) for frames_of, cuts in
+            ((strongest_frames, fwd), (weakest_frames, bwd)) if cuts]
+    strong, weak = runs[0][0], runs[-1][0]  # one run if only one flag is sliced
+    status = np.max([run[1] for run in runs], axis=0)
+    depth = np.max([run[2] for run in runs], axis=0)
+    blocks = []
+    for lo, hi in bounds:
+        if lo == 1:
+            blk = strong[:, :, :hi]
+        elif hi == n:
+            blk = weak[:, :, :n + 1 - lo]
+        else:
+            blk, st = intersect_frames(strong[:, :, :hi], weak[:, :, :n + 1 - lo])
+            status = np.maximum(status, st)
+        # contiguous, so later products round alike whatever flag it came from
+        blocks.append(np.ascontiguousarray(blk))
+    return blocks, status, depth
 
 
 def splitting_frames(map_, xs, dims):
@@ -287,28 +313,13 @@ def splitting_frames(map_, xs, dims):
     Returns (blocks, status, depth) where blocks is a list of (B, n, dims[i])
     arrays and depth is the deepest ladder rung each sample reached.
     """
-    xs = np.asarray(xs, dtype=float)
     n = map_.n
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims) or sum(dims) != n:
         raise ValueError(f"block dimensions {dims} must be positive and sum to {n}")
-    b = xs.shape[0]
-    status = np.zeros(b, dtype=np.int8)
-    depth = np.zeros(b, dtype=np.int16)
-    cum = np.cumsum(dims)
-    blocks = []
-    for i, d in enumerate(dims):
-        if i == 0:
-            blk, st, dp = strongest_frames(map_, xs, cum[0])
-        elif i == len(dims) - 1:
-            blk, st, dp = weakest_frames(map_, xs, d)
-        else:
-            blk, st, dp = _between_frames(map_, xs, cum[i], n - cum[i - 1])
-        blocks.append(blk)
-        status = np.maximum(status, st)
-        depth = np.maximum(depth, dp)
-    full = np.concatenate(blocks, axis=2)
-    vol = k_volume(full)
+    ends = np.cumsum(dims).tolist()
+    blocks, status, depth = _block_frames(map_, xs, [(e - d + 1, e) for d, e in zip(dims, ends)])
+    vol = k_volume(np.concatenate(blocks, axis=2))
     status = np.where((vol < 1e-6) & (status == OK), STATUS_DEGENERATE, status).astype(np.int8)
     return blocks, status, depth
 
@@ -319,7 +330,7 @@ def bundle_frames(map_, xs, selector: BundleSelector):
 
     Pure linear maps use exact eigen-direction frames (any selector, frames
     not orthonormal, depth 0). Perturbed maps require a contiguous selector,
-    realized as strongest/weakest planes or their intersection.
+    realized as one block of the flags.
     """
     xs = np.asarray(xs, dtype=float)
     n = map_.n
@@ -335,11 +346,8 @@ def bundle_frames(map_, xs, selector: BundleSelector):
         raise ValueError(
             f"selector {selector.indices} must be contiguous for perturbed maps"
         )
-    if lo == 1:
-        return strongest_frames(map_, xs, hi)
-    if hi == n:
-        return weakest_frames(map_, xs, n - lo + 1)
-    return _between_frames(map_, xs, hi, n - lo + 1)
+    blocks, status, depth = _block_frames(map_, xs, [(lo, hi)])
+    return blocks[0], status, depth
 
 
 def _chained_jacobian(map_, xs, steps):
@@ -352,18 +360,15 @@ def _chained_jacobian(map_, xs, steps):
     return jac
 
 
-def domination_check(map_, samples=200, l=2, dims=None, seed=0) -> dict:
-    """Sampled check of the factor-2 domination between consecutive blocks.
+def domination_check(map_, samples=200, l=2, seed=0) -> dict:
+    """Sampled check of the factor-2 domination between consecutive lines.
 
     margin = min over samples and block pairs of half the strong/weak
     expansion ratio minus one; holds iff margin > 0. A negative margin is a
     finding, not an error.
     """
-    n = map_.n
-    if dims is None:
-        dims = (1,) * n
     xs = map_.sample_uniform(samples, seed)
-    blocks, status, _ = splitting_frames(map_, xs, dims)
+    blocks, status, _ = splitting_frames(map_, xs, (1,) * map_.n)
     worst = int(status.max(initial=0))
     if worst != OK:
         _raise_status(worst, "domination_check")

@@ -213,70 +213,62 @@ def _unique_edges(cells):
     return edges, tri_edge
 
 
+# bisection patterns over the corners (a, b, c, m_ab, m_bc, m_ca) of a
+# triangle rolled so that its longest (always marked) side is (a, b), keyed
+# by whether (b, c) and (c, a) are marked too; each keeps the orientation
+_BISECTIONS = {
+    (False, False): ((0, 3, 2), (3, 1, 2)),
+    (True, False): ((0, 3, 2), (3, 1, 4), (3, 4, 2)),
+    (False, True): ((3, 1, 2), (0, 3, 5), (3, 2, 5)),
+    (True, True): ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5)),
+}
+
+
+def _bisection(params, points, cells, delta):
+    """Midpoint parameters and cells of one longest-edge bisection pass over
+    the sides longer than delta, or None if no side is. A helper, so that a
+    pass's temporaries are freed before the next pass dedups a larger mesh."""
+    edges, tri_edge = _unique_edges(cells)
+    lens = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    marked = lens > delta
+    if not np.any(marked):
+        return None
+    # closure: a triangle with any marked edge also marks its longest
+    # edge, so every split triangle can be bisected by that edge first
+    longest = np.argmax(lens[tri_edge], axis=1)
+    long_edge = np.take_along_axis(tri_edge, longest[:, None], axis=1)[:, 0]
+    while True:
+        need = marked[tri_edge].any(axis=1) & ~marked[long_edge]
+        if not np.any(need):
+            break
+        marked[long_edge[need]] = True
+    split_idx = np.flatnonzero(marked)
+    mid_of = np.full(edges.shape[0], -1, dtype=np.int64)
+    mid_of[split_idx] = params.shape[0] + np.arange(split_idx.shape[0])
+    turn = (longest[:, None] + np.arange(3)) % 3
+    side_marked = np.take_along_axis(marked[tri_edge], turn, axis=1)
+    corners = np.hstack([np.take_along_axis(cells, turn, axis=1),
+                         mid_of[np.take_along_axis(tri_edge, turn, axis=1)]])
+    split = side_marked.any(axis=1)
+    out = [cells[~split]]
+    for (m1, m2), pattern in _BISECTIONS.items():
+        rows = corners[split & (side_marked[:, 1] == m1) & (side_marked[:, 2] == m2)]
+        out.extend(rows[:, p] for p in pattern)
+    return 0.5 * (params[edges[split_idx, 0]] + params[edges[split_idx, 1]]), np.vstack(out)
+
+
 def _refine_triangles(disk_state, map_, seed_point, frame, delta, budget, step):
     params, points, cells, truncated = disk_state
     for _ in range(_MAX_PASSES):
-        edges, tri_edge = _unique_edges(cells)
-        lens = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
-        marked = lens > delta
-        if not np.any(marked):
+        refined = _bisection(params, points, cells, delta)
+        if refined is None:
             return params, points, cells, truncated
-        # closure: a triangle with any marked edge also marks its longest
-        # edge, so every split triangle can be bisected by that edge first
-        tri_lens = lens[tri_edge]
-        longest = np.argmax(tri_lens, axis=1)
-        rows = np.arange(cells.shape[0])
-        while True:
-            any_marked = marked[tri_edge].any(axis=1)
-            need = any_marked & ~marked[tri_edge[rows, longest]]
-            if not np.any(need):
-                break
-            marked[tri_edge[need, longest[need]]] = True
-        split_idx = np.flatnonzero(marked)
-        mid_params = 0.5 * (params[edges[split_idx, 0]] + params[edges[split_idx, 1]])
+        mid_params, split_cells = refined
         if params.shape[0] + mid_params.shape[0] > budget:
             return params, points, cells, True
         mid_points = _advance(map_, seed_point, frame, mid_params, step)
-        mid_of = np.full(edges.shape[0], -1, dtype=np.int64)
-        mid_of[split_idx] = params.shape[0] + np.arange(split_idx.shape[0])
-        params = np.vstack([params, mid_params])
-        points = np.vstack([points, mid_points])
-
-        tri_marked = marked[tri_edge]
-        split_tri = tri_marked.any(axis=1)
-        keep = cells[~split_tri]
-        # roll vertex order so the longest (always marked) edge is (a, b);
-        # every pattern below preserves the parameter-plane orientation
-        rolls = [cells[:, (0, 1, 2)], cells[:, (1, 2, 0)], cells[:, (2, 0, 1)]]
-        verts = np.choose(longest[:, None], rolls)
-        emid = np.column_stack([
-            mid_of[tri_edge[rows, longest]],
-            mid_of[tri_edge[rows, (longest + 1) % 3]],
-            mid_of[tri_edge[rows, (longest + 2) % 3]],
-        ])
-        m1 = tri_marked[rows, (longest + 1) % 3] & split_tri
-        m2 = tri_marked[rows, (longest + 2) % 3] & split_tri
-        a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-        mab, mbc, mca = emid[:, 0], emid[:, 1], emid[:, 2]
-        out = [keep]
-        only = split_tri & ~m1 & ~m2
-        out.append(np.column_stack([a[only], mab[only], c[only]]))
-        out.append(np.column_stack([mab[only], b[only], c[only]]))
-        s1 = split_tri & m1 & ~m2
-        out.append(np.column_stack([a[s1], mab[s1], c[s1]]))
-        out.append(np.column_stack([mab[s1], b[s1], mbc[s1]]))
-        out.append(np.column_stack([mab[s1], mbc[s1], c[s1]]))
-        s2 = split_tri & ~m1 & m2
-        out.append(np.column_stack([mab[s2], b[s2], c[s2]]))
-        out.append(np.column_stack([a[s2], mab[s2], mca[s2]]))
-        out.append(np.column_stack([mab[s2], c[s2], mca[s2]]))
-        s3 = split_tri & m1 & m2
-        out.append(np.column_stack([a[s3], mab[s3], mca[s3]]))
-        out.append(np.column_stack([mab[s3], b[s3], mbc[s3]]))
-        out.append(np.column_stack([mca[s3], mbc[s3], c[s3]]))
-        out.append(np.column_stack([mab[s3], mbc[s3], mca[s3]]))
-        cells = np.vstack(out)
-        params, points, cells = _sort_nodes(params, points, cells)
+        params, points, cells = _sort_nodes(np.vstack([params, mid_params]),
+                                            np.vstack([points, mid_points]), split_cells)
     raise RuntimeError("refinement did not settle; delta may be degenerate")
 
 

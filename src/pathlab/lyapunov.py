@@ -47,16 +47,17 @@ CHUNK = 20000
 # an e2 chart coefficient of the line at or below this fraction of its
 # chart length counts as vanished
 _E2_TOL = 1e-12
+_QR_BURN_IN = 100
 
 
 class DegenerateFrame(RuntimeError):
     """Frame does not span a plane of its column count."""
 
 
-def qr_spectrum(map_, x, n, burn_in=100):
+def qr_spectrum(map_, x, n):
     """Full Lyapunov spectrum at x by orthonormalized cocycle iteration.
 
-    The frame is aligned for burn_in steps before log stretches are
+    The frame is aligned for _QR_BURN_IN steps before log stretches are
     accumulated; without that, the O(1) alignment transient pollutes the
     average at order 1/n. Returns exponents sorted descending. x may be a
     batch (B, n): every point steps in the same loop, one stacked QR per
@@ -69,11 +70,11 @@ def qr_spectrum(map_, x, n, burn_in=100):
     y = np.atleast_2d(x)
     q = np.broadcast_to(generic_seed_frame(dim, dim), (y.shape[0], dim, dim))
     logs = np.zeros(y.shape)
-    for j in range(int(burn_in) + int(n)):
+    for j in range(_QR_BURN_IN + int(n)):
         q, r = np.linalg.qr(map_.differential(y) @ q)
         diag = np.diagonal(r, axis1=1, axis2=2)
         q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
-        if j >= burn_in:
+        if j >= _QR_BURN_IN:
             logs += np.log(np.abs(diag))
         y = map_.apply(y)
     expo = np.sort(logs / float(n), axis=1)[:, ::-1]

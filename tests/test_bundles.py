@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlab import bundles
 from pathlab.bundles import (
     OK,
     STATUS_ILLCOND,
+    STATUS_NOGAP,
     NoGap,
     _orthonormalize,
     _push_cm,
@@ -23,6 +25,7 @@ from pathlab.bundles import (
     intersect_frames,
     max_principal_angle,
     splitting_frames,
+    strongest_frames,
     strongest_subbundle,
     weakest_frames,
 )
@@ -114,6 +117,63 @@ def test_alignment_depth_consistency(perturbed_map):
             assert ok[0]
             frames.append(f_long[0])
         assert max_principal_angle(*frames) < 1e-8
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+@settings(max_examples=10, deadline=None)
+def test_flag_leading_columns_are_narrower_frames(perturbed_map, seed, k):
+    # Gram-Schmidt keeps the flag: the leading j columns of a k-frame are
+    # the j-frame bit for bit, forward and backward, at equal ladder depth
+    xs = np.vstack([np.random.default_rng(seed).random((6, 3)),
+                    perturbed_map.sample_support(6, seed)])
+    for frames_of in (strongest_frames, weakest_frames):
+        wide, _, d_wide = frames_of(perturbed_map, xs, k)
+        for j in range(1, k):
+            narrow, _, d_narrow = frames_of(perturbed_map, xs, j)
+            same = d_wide == d_narrow
+            assert same.any()
+            assert np.array_equal(wide[same, :, :j], narrow[same])
+
+
+def _plus_minus_lambda_map():
+    """Companion of x^4 - 3x^2 + 1, eigenvalues +-1.618 and +-0.618, with one
+    rotation: the strongest plane settles, the lines inside it never do."""
+    a = UnimodularMatrix([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0]])
+    rot = build_localized_rotation(eigen_real(a), center=[0.31, 0.47, 0.62, 0.2],
+                                   plane=(2, 1), rho=0.1, theta_max=0.3)
+    return TorusMap(a, [rot])
+
+
+def test_ladder_certifies_cuts_not_every_sub_frame():
+    map_ = _plus_minus_lambda_map()
+    xs = np.random.default_rng(4).random((6, 4))
+    _, status, _ = strongest_frames(map_, xs, 1)
+    assert np.all(status == STATUS_NOGAP)
+    _, status, _ = strongest_frames(map_, xs, 2)
+    assert np.all(status == OK)
+    _, status, _ = bundle_frames(map_, xs, BundleSelector((1, 2)))
+    assert np.all(status == OK)
+
+
+def test_one_transport_per_flag(perturbed_map, monkeypatch):
+    calls = []
+    transport = bundles._transport_pair
+
+    def counted(map_, xs, k, m, direction):
+        calls.append((m, direction, k))
+        return transport(map_, xs, k, m, direction)
+
+    monkeypatch.setattr(bundles, "_transport_pair", counted)
+    xs = np.random.default_rng(8).random((10, 3))
+    _, status, depth = splitting_frames(perturbed_map, xs, (1, 1, 1))
+    assert np.all(status == OK)
+    rungs = sorted({m for m, _, _ in calls})
+    assert rungs[-1] == depth.max()
+    assert sorted(calls) == sorted((m, d, 2) for m in rungs for d in (+1, -1))
+    calls.clear()
+    _, status, depth = bundle_frames(perturbed_map, xs, BundleSelector((1, 2)))
+    assert np.all(status == OK)
+    assert calls == [(40, +1, 2)] and np.all(depth == 40)
 
 
 def test_no_gap_detected_for_rotation_matrix():
@@ -368,13 +428,23 @@ def test_push_matches_dense_differential(perturbed_map):
         assert np.allclose(pushed, ref, rtol=1e-14, atol=1e-14)
 
 
+def _bundle_blocks(map_, xs):
+    frames, status, depth = bundle_frames(map_, xs, BundleSelector((2,)))
+    return [frames], status, depth
+
+
+def _splitting_blocks(map_, xs):
+    return splitting_frames(map_, xs, (1, 1, 1))
+
+
 def test_frames_do_not_depend_on_batch(perturbed_map):
     xs = np.vstack([np.random.default_rng(21).random((40, 3)),
                     perturbed_map.sample_support(20, 5)])
-    sel = BundleSelector((2,))
-    whole, st_whole, d_whole = bundle_frames(perturbed_map, xs, sel)
-    for part in (slice(0, 1), slice(3, 17), slice(35, 60)):
-        frames, status, depth = bundle_frames(perturbed_map, xs[part], sel)
-        assert np.array_equal(frames, whole[part])
-        assert np.array_equal(status, st_whole[part])
-        assert np.array_equal(depth, d_whole[part])
+    for blocks_of in (_bundle_blocks, _splitting_blocks):
+        whole, st_whole, d_whole = blocks_of(perturbed_map, xs)
+        for part in (slice(0, 1), slice(3, 17), slice(35, 60)):
+            blocks, status, depth = blocks_of(perturbed_map, xs[part])
+            for got, want in zip(blocks, whole, strict=True):
+                assert np.array_equal(got, want[part])
+            assert np.array_equal(status, st_whole[part])
+            assert np.array_equal(depth, d_whole[part])

@@ -1,5 +1,6 @@
 """Leaf disk tracking: seeding, refinement, growth rates, currents, cycles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ def test_parameter_provenance(perturbed_map):
     disk = seed_disk([0.12, 0.37, 0.81], v1, 1e-3, 5e-4)
     disk = iterate_refine(disk, perturbed_map, 6)
     assert node_provenance_error(disk, perturbed_map, sample=100, seed=3) < 1e-9
+
+
+def test_refinement_peak_memory_tracks_the_mesh(companion_map):
+    # each pass frees its temporaries before the next pass dedups the edges
+    # of the larger mesh; this disk ends near 77k nodes
+    disk = seed_disk([0.1, 0.2, 0.3], unstable_frame(companion_map), 0.01, 0.006)
+    disk = iterate_refine(disk, companion_map, 2)
+    tracemalloc.start()
+    try:
+        out = iterate_refine(disk, companion_map, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mesh = out.params.nbytes + out.points.nbytes + out.cells.nbytes
+    assert out.n_nodes > 70_000
+    assert peak < 10 * mesh
 
 
 def test_mesh_halving_consistency(perturbed_map):

@@ -167,23 +167,17 @@ def _transport_pair(map_, xs, k, m, direction):
     b, n = xs.shape
     total = m + 5
     orbit = np.empty((total, b, n))
+    step = map_.inverse_apply if direction > 0 else map_.apply
     y = xs
-    if direction > 0:
-        for t in range(total):
-            y = map_.inverse_apply(y)
-            orbit[total - 1 - t] = y
-        jac_at = map_.differential_parts
-    else:
-        for t in range(total):
-            y = map_.apply(y)
-            orbit[total - 1 - t] = y
-        jac_at = map_.inverse_differential_parts
+    for t in range(total):
+        y = step(y)
+        orbit[total - 1 - t] = y
     seed = _seed_for(n, k, direction)
     f_long = np.broadcast_to(seed[:, :, None], (n, k, b)).copy()
     f_short = f_long.copy()
     ok = np.ones(b, dtype=bool)
     for t in range(total):
-        parts = jac_at(orbit[t])
+        parts = map_.differential_parts(orbit[t], direction)
         f_long, good = _orthonormalize_cm(_push_cm(*parts, f_long))
         ok &= good
         if t >= 5:

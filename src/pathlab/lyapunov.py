@@ -10,16 +10,16 @@ back, and otherwise needs only the chart Jacobians at the returns. So the
 gap is an exact quadrature of that closed form plus a Monte Carlo
 correction from the few samples that return. Under the same preconditions
 (chart_line_holds) the Birkhoff average of that line needs no frames
-either: one backward sweep over its orbit pulls the normal back through the
-visits, the only points where the integrand is not 0.
+either: the same per-sample kernel (_line_values) runs at the orbit's
+visits to a support, the only points where the integrand is not 0.
 
 Every estimator has the same four steps: draw its points from the seed in
 one pass (TorusMap.sample_uniform or sample_support, or one orbit), run a
-per-sample function on fixed-size chunks (_per_sample; the orbit sweep is
-one pass), keep the samples whose status is OK (_valid), and reduce them
-once (_spread). Per-sample values are concatenated in chunk order, so
-estimates are byte-identical for any worker count and a sample's values
-never depend on which chunk it rode in.
+per-sample function on them (on fixed-size chunks through _per_sample, or
+in one call on an orbit's visits), keep the samples whose status is OK
+(_valid), and reduce them once (_spread). Per-sample values are
+concatenated in chunk order, so estimates are byte-identical for any
+worker count and a sample's values never depend on which chunk it rode in.
 """
 from __future__ import annotations
 
@@ -227,10 +227,10 @@ def _line_logs(block, normal):
 
 
 def _pull_back(blk, n1, n2, q, gap):
-    """The first two chart components of the hyperplane normal at a point
-    with chart block blk, up to scale, from the normal (n1, n2) gap steps
-    later: R'^T (n1, q^gap n2). Between visits only n2/n1 moves, by
-    q = lambda_2/lambda_1 per step."""
+    """_line_values' pull-back step: the first two chart components of the
+    hyperplane normal at a point with chart block blk, up to scale, from the
+    normal (n1, n2) gap steps later: R'^T (n1, q^gap n2). Between visits
+    only n2/n1 moves, by q = lambda_2/lambda_1 per step."""
     m2 = n2 * q ** gap
     return blk[0, 0] * n1 + blk[1, 0] * m2, blk[0, 1] * n1 + blk[1, 1] * m2
 
@@ -430,54 +430,33 @@ def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
     }
 
 
-def _orbit_line_values(map_, orbit, n):
-    """Per-point (g, status) of the chart-metric integrand at the first n
-    points of an orbit that runs at least the horizon past them.
-
-    One backward sweep pulls the seed normal e1* from just past the orbit's
-    end back over its visits to a support, as _line_values does per sample;
-    g is formed at the visits and is exactly 0 at every other point.
-    """
-    q = float(map_.eigen.values[1]) / float(map_.eigen.values[0])
-    visit = np.flatnonzero(map_.support_mask(orbit))
-    blocks = map_.chart_blocks(orbit[visit])
-    normal = np.empty((2, visit.size))
-    n1, n2, last = 1.0, 0.0, orbit.shape[0]
-    for j in range(visit.size - 1, -1, -1):
-        a1, a2 = _pull_back(blocks[:, :, j], n1, n2, q, last - visit[j])
-        size = math.hypot(a1, a2)
-        n1, n2, last = a1 / size, a2 / size, visit[j]
-        normal[:, j] = n1, n2
-    keep = visit < n
-    g = np.zeros(n)
-    status = np.full(n, OK, dtype=np.int8)
-    g[visit[keep]], status[visit[keep]] = _line_logs(blocks[:, :, keep],
-                                                     normal[:, keep])
-    return g, status
-
-
 def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> dict:
     """Time average of the restricted log-Jacobian along one orbit.
 
     Cross-validates the space average; the stderr comes from batch means
     because consecutive orbit samples are correlated. For the line [2] on a
     map where chart_line_holds, the integrand is measured in the eigen-chart
-    metric, which differs from the Euclidean one by a coboundary: one sweep
-    over the orbit (_orbit_line_values) gives ln|lambda_2| + mean(g) with no
-    frame transport ("m" is 0). Every other case transports bundle frames
-    at every orbit point.
+    metric, which differs from the Euclidean one by a coboundary. Its g is
+    exactly 0 off the supports, so only the orbit's visits to a support run
+    through _line_values, each with its own horizon of look-ahead, and the
+    estimate is ln|lambda_2| + mean(g) with no frame transport ("m" is 0).
+    Every other case transports bundle frames at every orbit point.
     """
     selector.validate_for(map_.n)
     n = int(n)
     if n < 1:
         raise ValueError("need at least one orbit step")
+    orbit = map_.orbit(x0, n)
     if selector.indices == (2,) and chart_line_holds(map_):
-        orbit = map_.orbit(x0, n + horizon(map_.eigen))
-        valid = _valid(*_orbit_line_values(map_, orbit, n), "orbit sample")
+        visit = np.flatnonzero(map_.support_mask(orbit))
+        g = np.zeros(n)
+        status = np.full(n, OK, dtype=np.int8)
+        g[visit], _, _, status[visit] = _line_values(map_, orbit[visit],
+                                                     horizon(map_.eigen))
+        valid = _valid(g, status, "orbit sample")
         offset, depth = math.log(abs(float(map_.eigen.values[1]))), 0
     else:
-        valid, depth = _bundle_run(map_, selector, map_.orbit(x0, n), threads,
-                                   "orbit sample")
+        valid, depth = _bundle_run(map_, selector, orbit, threads, "orbit sample")
         offset = 0.0
     est, stderr = _spread(valid, blocks=min(100, max(2, valid.size // 1000)))
     return {

@@ -350,57 +350,48 @@ class TorusMap:
         y = _mod1(y)
         return y[0] if scalar else y
 
-    def differential_parts(self, x):
-        """Df at a batch as (A, rows, jac): Df = A at every row except the
-        listed ones, which lie inside a support and carry jac (rows, n, n).
+    def differential_parts(self, x, sign=+1):
+        """Df (sign +1) or D(f^-1) (sign -1) at a batch as (lin, rows, jac):
+        lin = A or A^-1 at every row except the listed ones, which carry jac
+        (rows, n, n).
 
-        Off every support the rotations are the identity and Df = A exactly,
-        so only rows inside a support compose the rotation Jacobians.
+        Off every support the rotations are the identity, so only rows whose
+        rotation input lies in a support compose rotation Jacobians. For f
+        that input is x, the last rotation acts first and A comes last; for
+        f^-1 it is A^-1 x, and the inverse rotations act in list order.
         """
         pts, _ = self._batch(x)
-        hit = np.flatnonzero(self.support_mask(pts))
-        if not hit.size:
-            return self._a, hit, np.empty((0, self.n, self.n))
-        y = pts[hit]
-        rots = self.rotations[::-1]
-        jac = rots[0].differential(y, +1)
-        # a rotation's transform only feeds the next one's Jacobian
-        for done, rot in zip(rots, rots[1:]):
-            y = done.transform(y, +1)
-            jac = np.einsum("bij,bjk->bik", rot.differential(y, +1), jac)
-        return self._a, hit, np.einsum("ij,bjk->bik", self._a, jac)
-
-    def inverse_differential_parts(self, x):
-        """D(f^-1) as (A^-1, rows, jac), like differential_parts: the rows
-        are those whose A^-1 x lies inside a support."""
-        pts, _ = self._batch(x)
-        y = _apply_matrix(pts, self._a_inv)
+        if sign > 0:
+            lin, rots, y = self._a, self.rotations[::-1], pts
+        else:
+            lin, rots, y = self._a_inv, self.rotations, _apply_matrix(pts, self._a_inv)
         hit = np.flatnonzero(self.support_mask(y))
-        jac = np.broadcast_to(self._a_inv, (hit.size, self.n, self.n)).copy()
-        if hit.size:
-            y = y[hit]
-            for k, rot in enumerate(self.rotations):
-                if k:
-                    y = self.rotations[k - 1].transform(y, -1)
-                jac = np.einsum("bij,bjk->bik", rot.differential(y, -1), jac)
-        return self._a_inv, hit, jac
+        if not hit.size:
+            return lin, hit, np.empty((0, self.n, self.n))
+        y = y[hit]
+        jac = None if sign > 0 else np.broadcast_to(lin, (hit.size,) + lin.shape).copy()
+        for k, rot in enumerate(rots):
+            # a rotation's transform only feeds the next one's Jacobian
+            if k:
+                y = rots[k - 1].transform(y, sign)
+            step = rot.differential(y, sign)
+            jac = step if jac is None else np.einsum("bij,bjk->bik", step, jac)
+        return lin, hit, jac if sign < 0 else np.einsum("ij,bjk->bik", lin, jac)
 
-    @staticmethod
-    def _assemble(parts, b):
-        lin, hit, jac = parts
-        out = np.broadcast_to(lin, (b,) + lin.shape).copy()
+    def _dense_differential(self, x, sign):
+        pts, scalar = self._batch(x)
+        lin, hit, jac = self.differential_parts(pts, sign)
+        out = np.broadcast_to(lin, (pts.shape[0],) + lin.shape).copy()
         out[hit] = jac
-        return out
+        return out[0] if scalar else out
 
     def differential(self, x):
-        pts, scalar = self._batch(x)
-        jac = self._assemble(self.differential_parts(pts), pts.shape[0])
-        return jac[0] if scalar else jac
+        """Df at a point or batch: the dense form of differential_parts."""
+        return self._dense_differential(x, +1)
 
     def inverse_differential(self, x):
-        pts, scalar = self._batch(x)
-        jac = self._assemble(self.inverse_differential_parts(pts), pts.shape[0])
-        return jac[0] if scalar else jac
+        """D(f^-1) at a point or batch: the dense form of differential_parts."""
+        return self._dense_differential(x, -1)
 
     # ---------------------------------------------------------------- misc
 

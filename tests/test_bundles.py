@@ -420,7 +420,7 @@ def test_push_matches_dense_differential(perturbed_map):
     cols = np.ascontiguousarray(np.moveaxis(frames, 0, -1))
     for parts, dense in (
             (perturbed_map.differential_parts(xs), perturbed_map.differential(xs)),
-            (perturbed_map.inverse_differential_parts(xs),
+            (perturbed_map.differential_parts(xs, -1),
              perturbed_map.inverse_differential(xs))):
         assert parts[1].size >= 100
         pushed = np.moveaxis(_push_cm(*parts, cols), -1, 0)

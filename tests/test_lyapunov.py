@@ -19,7 +19,6 @@ from pathlab.lyapunov import (
     _line_logs,
     _line_values,
     _one_step_logs,
-    _orbit_line_values,
     _per_sample,
     _spread,
     _splitting_values,
@@ -415,15 +414,16 @@ def test_orbit_line_matches_frame_transport(calibration_map, map_4d):
         # orbits from five samples that return within the horizon, and two
         # that do not
         for x0 in np.vstack([pts[returned][:5], pts[~returned][:2]]):
-            n = 200
-            orbit = map_.orbit(x0, n + steps)
-            g, status = _orbit_line_values(map_, orbit, n)
-            visit = np.flatnonzero(map_.support_mask(orbit[:n]))
+            # birkhoff_exponent runs only the visits through _line_values
+            # and puts g = 0 at every other orbit point, where
+            # test_chart_line_identity_off_support checks the integrand
+            orbit = map_.orbit(x0, 200)
+            visit = np.flatnonzero(map_.support_mask(orbit))
+            g, _, _, status = _line_values(map_, orbit[visit], steps)
             assert visit[0] == 0 and np.all(status == OK)
-            assert np.all(np.delete(g, visit) == 0.0)
             want, frame_status = frame_path_logs(map_, orbit[visit])
             assert np.all(frame_status == OK)
-            assert np.max(np.abs(g[visit] - want)) < 1e-13
+            assert np.max(np.abs(g - want)) < 1e-13
 
 
 def test_birkhoff_one_pass_matches_frame_path(calibration_map):
@@ -439,6 +439,17 @@ def test_birkhoff_one_pass_matches_frame_path(calibration_map):
     # endpoint term is below 2^-53 here: neither end lies just before a visit
     assert abs(rep["estimate"] - est) < 1e-12
     assert rep["stderr"] == pytest.approx(stderr, rel=0.2)
+
+
+def test_birkhoff_orbit_without_visits_is_exactly_lambda_2(calibration_map):
+    x0 = calibration_map.sample_uniform(1, 202)[0]
+    assert not calibration_map.support_mask(x0)
+    want = math.log(abs(float(calibration_map.eigen.values[1])))
+    for n in (1, 5):
+        rep = birkhoff_exponent(calibration_map, BundleSelector((2,)), x0, n)
+        assert not np.any(calibration_map.support_mask(calibration_map.orbit(x0, n)))
+        assert (rep["estimate"], rep["stderr"]) == (want, 0.0)
+        assert (rep["rejected"], rep["m"]) == (0, 0)
 
 
 def test_birkhoff_frame_path_off_the_chart_line(calibration_map):

@@ -446,7 +446,7 @@ def test_inverse_differential_parts_cover_the_preimage_support(perturbed_map):
     rng = np.random.default_rng(12)
     inside = perturbed_map.sample_support(500, 4)
     pts = np.vstack([rng.random((3000, 3)), perturbed_map.apply(inside)])
-    lin, hit, jac = perturbed_map.inverse_differential_parts(pts)
+    lin, hit, jac = perturbed_map.differential_parts(pts, -1)
     mask = perturbed_map.support_mask(perturbed_map.inverse_apply(pts))
     assert np.array_equal(hit, np.flatnonzero(mask))
     assert np.all(mask[3000:])
@@ -458,7 +458,7 @@ def test_inverse_differential_parts_cover_the_preimage_support(perturbed_map):
 def test_linear_differential_parts_are_empty(linear_map):
     pts = np.random.default_rng(13).random((50, 3))
     for parts in (linear_map.differential_parts(pts),
-                  linear_map.inverse_differential_parts(pts)):
+                  linear_map.differential_parts(pts, -1)):
         lin, hit, jac = parts
         assert hit.size == 0 and jac.shape == (0, 3, 3)
 

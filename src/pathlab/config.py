@@ -120,10 +120,6 @@ class ExperimentConfig:
     exponents: dict = field(default_factory=lambda: dict(_EXP_DEFAULTS))
     out: str | None = None
 
-    @property
-    def dim(self):
-        return len(self.map_spec["linear"])
-
     def build_map(self) -> TorusMap:
         try:
             return TorusMap.from_dict(self.map_spec)

@@ -50,9 +50,6 @@ NON_ABSOLUTELY_CONTINUOUS = "NON_ABSOLUTELY_CONTINUOUS"
 CONSISTENT_WITH_AC = "CONSISTENT_WITH_AC"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# the detector never gates on the raw c1 distance; the stage is a report
-_GATED_STAGES = ("volume", "domination", "closedness", "homology", "rejections")
-
 _REJECT_RATE_LIMIT = 1e-3
 
 # chained steps of the closedness preflight, and the volume preflight's

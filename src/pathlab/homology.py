@@ -134,16 +134,6 @@ def topological_growth(eigen: EigenData, selector: BundleSelector):
     return lam, HomologyClass(k, coeffs)
 
 
-def pairing(h: HomologyClass, omega) -> float:
-    """Canonical pairing with a constant-coefficient form in the dx_I basis."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != h.coefficients.shape:
-        raise ValueError(
-            f"form has {omega.shape} coefficients, class has {h.coefficients.shape}"
-        )
-    return float(np.dot(h.coefficients, omega))
-
-
 def growth_report(eigen: EigenData, selector: BundleSelector) -> dict:
     lam, h = topological_growth(eigen, selector)
     wi = WedgeIndex(eigen.n, h.k)

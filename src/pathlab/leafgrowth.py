@@ -308,15 +308,6 @@ def iterate_refine(disk: LeafDisk, map_, steps: int, on_budget: str = "flag") ->
     )
 
 
-def node_provenance_error(disk: LeafDisk, map_, sample: int = 100, seed: int = 0) -> float:
-    """Largest distance between stored nodes and their recomputed positions."""
-    rng = np.random.default_rng(seed)
-    m = disk.n_nodes
-    idx = rng.choice(m, size=min(int(sample), m), replace=False)
-    redone = _advance(map_, disk.seed_point, disk.frame, disk.params[idx], disk.step)
-    return float(np.max(np.linalg.norm(redone - disk.points[idx], axis=1), initial=0.0))
-
-
 def chi_estimate(records) -> dict:
     """Growth-rate estimates from a per-step volume table.
 

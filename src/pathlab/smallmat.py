@@ -206,19 +206,9 @@ class WedgeIndex:
         self.n = n
         self.k = k
         self.subsets = tuple(combinations(range(n), k))
-        self._pos = {s: i for i, s in enumerate(self.subsets)}
 
     def __len__(self):
         return len(self.subsets)
-
-    def ordinal(self, subset) -> int:
-        key = tuple(sorted(int(i) for i in subset))
-        if key not in self._pos:
-            raise KeyError(f"{subset} is not a {self.k}-subset of range({self.n})")
-        return self._pos[key]
-
-    def subset(self, ordinal: int):
-        return self.subsets[ordinal]
 
     def labels(self) -> list[str]:
         return ["^".join(f"dx{i + 1}" for i in s) for s in self.subsets]

@@ -23,9 +23,6 @@ from .smallmat import EigenData, UnimodularMatrix, eigen_real
 # derivative formula never evaluates 0 * inf near the support boundary
 _EDGE = 1e-3
 
-# in-support Jacobians are built this many rows at a time
-_JACOBIAN_ROWS = 4096
-
 
 class SupportTooLarge(ValueError):
     """Support ellipsoid too large to embed in the torus."""
@@ -83,6 +80,23 @@ def _chart_radius2(y, center, chart_inv):
     return total
 
 
+def _finite(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_rotation_spec(k, rs, n):
+    # float() and int() in build_localized_rotation would coerce these silently
+    center, plane = rs["center"], rs["plane"]
+    if not isinstance(center, (list, tuple)) or len(center) != n or not all(map(_finite, center)):
+        raise ValueError(f"rotations[{k}].center: must be {n} finite numbers, got {center!r}")
+    if (not isinstance(plane, (list, tuple)) or len(plane) != 2
+            or any(isinstance(p, bool) or not isinstance(p, int) for p in plane)):
+        raise ValueError(f"rotations[{k}].plane: must be two integers, got {plane!r}")
+    for key in ("rho", "theta_max"):
+        if not _finite(rs[key]):
+            raise ValueError(f"rotations[{k}].{key}: must be a finite number, got {rs[key]!r}")
+
+
 def _mod1(y):
     # y - floor(y) equals y % 1.0 bit for bit (both add the same integer,
     # with the same rounding) at a quarter of the cost
@@ -138,11 +152,7 @@ class LocalizedRotation:
         u = self.chart_coords(points)
         r = np.linalg.norm(u, axis=-1)
         inside = np.flatnonzero(r < self.rho)
-        # in-support rows go in blocks, so the (rows, n, n) temporaries stay
-        # small even when a whole batch lies inside the support
-        for lo in range(0, len(inside), _JACOBIAN_ROWS):
-            rows = inside[lo:lo + _JACOBIAN_ROWS]
-            out[rows] = self._inside_differential(u[rows], r[rows], sign)
+        out[inside] = self._inside_differential(u[inside], r[inside], sign)
         return out
 
     def _inside_differential(self, um, rm, sign):
@@ -532,6 +542,7 @@ class TorusMap:
                 for key in ("center", "plane", "rho", "theta_max"):
                     if key not in rs:
                         raise ValueError(f"rotations[{k}]: missing '{key}'")
+                _check_rotation_spec(k, rs, linear.n)
                 rotations.append(
                     build_localized_rotation(
                         eig, rs["center"], rs["plane"], rs["rho"], rs["theta_max"]

@@ -15,6 +15,7 @@ from pathlab.bundles import (
     STATUS_ILLCOND,
     STATUS_NOGAP,
     NoGap,
+    _batch_angles,
     _orthonormalize,
     _push_cm,
     _transport_pair,
@@ -23,7 +24,6 @@ from pathlab.bundles import (
     domination_check,
     generic_seed_frame,
     intersect_frames,
-    max_principal_angle,
     splitting_frames,
     strongest_frames,
     strongest_subbundle,
@@ -40,6 +40,21 @@ CENTER = [0.31, 0.47, 0.62]
 COMPANION_EIGS = [3.2469796037174667, 1.5549581320873718, 0.1980622641951617]
 
 X0 = np.array([0.2, 0.35, 0.81])
+
+
+def max_principal_angle(p, q) -> float:
+    """Largest principal angle between two equal-dimension column spans."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.ndim == 1:
+        p = p[:, None]
+    if q.ndim == 1:
+        q = q[:, None]
+    assert p.shape == q.shape, f"span dimensions differ: {p.shape} vs {q.shape}"
+    po, okp = _orthonormalize(p[None])
+    qo, okq = _orthonormalize(q[None])
+    assert okp[0] and okq[0], "degenerate frame in angle computation"
+    return float(_batch_angles(po, qo)[0])
 
 
 @pytest.fixture(scope="module")

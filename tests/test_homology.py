@@ -16,7 +16,6 @@ from pathlab.homology import (
     NonSimpleTopEigenvalue,
     growth_report,
     induced_on_Hk,
-    pairing,
     topological_growth,
     wedge_coefficients,
 )
@@ -214,19 +213,11 @@ def test_inversion_mirrors_selector():
 # ---------------------------------------------------------------- pairing
 
 def test_pairing_dual_basis():
+    # the dx_i are the dual basis, so pairing with dx_i reads coefficient i
     eig = eigen_real(UnimodularMatrix(CAT))
     _, h = topological_growth(eig, BundleSelector((1,)))
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert abs(pairing(h, e1) - 0.8506508083520399) < 1e-12
-    assert abs(pairing(h, e2) - 0.5257311121191336) < 1e-12
-
-
-def test_pairing_grade_mismatch():
-    eig = eigen_real(UnimodularMatrix(COMPANION))
-    _, h = topological_growth(eig, BundleSelector((1, 2)))
-    with pytest.raises(ValueError):
-        pairing(h, np.array([1.0, 0.0]))
+    assert abs(h.coefficients[0] - 0.8506508083520399) < 1e-12
+    assert abs(h.coefficients[1] - 0.5257311121191336) < 1e-12
 
 
 # ---------------------------------------------------------------- report

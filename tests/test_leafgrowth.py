@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pathlab.homology import BundleSelector, topological_growth
 from pathlab.leafgrowth import (
     BadRadius,
+    _advance,
     _boundary_edges,
     _unique_edges,
     BudgetExceeded,
@@ -19,7 +20,6 @@ from pathlab.leafgrowth import (
     current_eval,
     default_test_forms,
     iterate_refine,
-    node_provenance_error,
     seed_disk,
     track_growth,
 )
@@ -173,6 +173,15 @@ def test_refined_mesh_stays_conforming(perturbed_map):
         * (p[cells[:, 2], 0] - p[cells[:, 0], 0])
     )
     assert np.all(area2 > 0.0)
+
+
+def node_provenance_error(disk, map_, sample=100, seed=0):
+    """Largest distance between stored nodes and their recomputed positions."""
+    rng = np.random.default_rng(seed)
+    m = disk.n_nodes
+    idx = rng.choice(m, size=min(int(sample), m), replace=False)
+    redone = _advance(map_, disk.seed_point, disk.frame, disk.params[idx], disk.step)
+    return float(np.max(np.linalg.norm(redone - disk.points[idx], axis=1), initial=0.0))
 
 
 def test_parameter_provenance(perturbed_map):

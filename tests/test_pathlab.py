@@ -1,6 +1,7 @@
 """Orchestration tests: config validation, commands, CLI exit codes,
 cross-thread byte determinism."""
 
+import ast
 import json
 import math
 import os
@@ -152,6 +153,28 @@ def test_config_defaults_filled():
     assert cfg.detect["gap_floor"] == 1e-9
     assert cfg.selector == (1,)
     assert cfg.leaf is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho", float("nan")),
+    ("center", [float("nan"), 0.8972138009695755, 0.7756856902451935]),
+    ("theta_max", float("inf")),
+    ("plane", [2.7, 1]),
+    ("rho", "0.12"),
+])
+def test_rotation_fields_must_be_finite_numbers(key, value):
+    cfg = detect_config()
+    cfg["map"]["rotations"][0][key] = value
+    with pytest.raises(ConfigError, match=rf"^config\.map: rotations\[0\]\.{key}: "):
+        ExperimentConfig.from_dict(cfg).build_map()
+
+
+def test_cli_nan_rotation_field_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(detect_config()).replace('"rho": 0.12', '"rho": NaN'))
+    assert "NaN" in path.read_text()
+    assert main(["detect", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config.map: rotations[0].rho" in capsys.readouterr().err
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):
@@ -562,3 +585,47 @@ def test_benchmark_trace_finds_every_layer():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def _names_used(tree):
+    # every Name read, Attribute and import alias in tree
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_every_package_name_is_used():
+    # each module-level def, class or assigned name of the package is named
+    # somewhere outside its own definition: elsewhere in src, or in the
+    # benchmark, whose tracer also patches functions by their string names
+    root = Path(__file__).resolve().parents[1]
+    defined = {}
+    used = set()
+    for path in sorted((root / "src" / "pathlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                defined[name] = path.name
+            used |= _names_used(top) - set(names)
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _names_used(tree)
+        used |= {word for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 for word in re.findall(r"\w+", node.value)}
+    unused = sorted(f"{mod}:{name}" for name, mod in defined.items()
+                    if name not in used and name != "__version__")
+    assert unused == []

@@ -258,7 +258,8 @@ def intersect_frames(p, q):
 
 def _block_frames(map_, xs, bounds):
     """Frames of contiguous 1-based blocks [lo..hi], batched: (blocks,
-    status, depth), from at most one forward and one backward flag."""
+    statuses, depth), one frame and one status per block, from at most one
+    forward and one backward flag. A block named twice is built once."""
     n = map_.n
     fwd = sorted({hi for lo, hi in bounds if lo == 1 or hi < n})
     bwd = sorted({n + 1 - lo for lo, hi in bounds if lo > 1})
@@ -267,18 +268,28 @@ def _block_frames(map_, xs, bounds):
     strong, weak = runs[0][0], runs[-1][0]  # one run if only one flag is sliced
     status = np.max([run[1] for run in runs], axis=0)
     depth = np.max([run[2] for run in runs], axis=0)
-    blocks = []
-    for lo, hi in bounds:
+    built = {}
+    for lo, hi in dict.fromkeys(bounds):
+        st = status
         if lo == 1:
             blk = strong[:, :, :hi]
         elif hi == n:
             blk = weak[:, :, :n + 1 - lo]
         else:
             blk, st = intersect_frames(strong[:, :, :hi], weak[:, :, :n + 1 - lo])
-            status = np.maximum(status, st)
+            st = np.maximum(status, st)
         # contiguous, so later products round alike whatever flag it came from
-        blocks.append(np.ascontiguousarray(blk))
-    return blocks, status, depth
+        built[lo, hi] = np.ascontiguousarray(blk), st
+    return [built[b][0] for b in bounds], [built[b][1] for b in bounds], depth
+
+
+def _split_status(blocks, statuses):
+    """One status per sample for blocks that split the whole space: the
+    worst block status, or DEGENERATE where together they span a volume
+    below 1e-6."""
+    status = np.max(statuses, axis=0)
+    vol = k_volume(np.concatenate(blocks, axis=2))
+    return np.where((vol < 1e-6) & (status == OK), STATUS_DEGENERATE, status).astype(np.int8)
 
 
 def splitting_frames(map_, xs, dims):
@@ -292,10 +303,19 @@ def splitting_frames(map_, xs, dims):
     if any(d < 1 for d in dims) or sum(dims) != n:
         raise ValueError(f"block dimensions {dims} must be positive and sum to {n}")
     ends = np.cumsum(dims).tolist()
-    blocks, status, depth = _block_frames(map_, xs, [(e - d + 1, e) for d, e in zip(dims, ends)])
-    vol = k_volume(np.concatenate(blocks, axis=2))
-    status = np.where((vol < 1e-6) & (status == OK), STATUS_DEGENERATE, status).astype(np.int8)
-    return blocks, status, depth
+    blocks, statuses, depth = _block_frames(map_, xs, [(e - d + 1, e) for d, e in zip(dims, ends)])
+    return blocks, _split_status(blocks, statuses), depth
+
+
+def selector_block(selector: BundleSelector):
+    """The selector as one block (lo, hi) of the flags; ValueError if its
+    indices have a hole."""
+    lo, hi = selector.indices[0], selector.indices[-1]
+    if selector.indices != tuple(range(lo, hi + 1)):
+        raise ValueError(
+            f"selector {selector.indices} must be contiguous for perturbed maps"
+        )
+    return lo, hi
 
 
 def bundle_frames(map_, xs, selector: BundleSelector):
@@ -315,13 +335,8 @@ def bundle_frames(map_, xs, selector: BundleSelector):
         frame = map_.eigen.vectors[:, cols]
         frames = np.broadcast_to(frame, (b, n, len(cols))).copy()
         return frames, np.zeros(b, dtype=np.int8), np.zeros(b, dtype=np.int16)
-    lo, hi = selector.indices[0], selector.indices[-1]
-    if selector.indices != tuple(range(lo, hi + 1)):
-        raise ValueError(
-            f"selector {selector.indices} must be contiguous for perturbed maps"
-        )
-    blocks, status, depth = _block_frames(map_, xs, [(lo, hi)])
-    return blocks[0], status, depth
+    blocks, statuses, depth = _block_frames(map_, xs, [selector_block(selector)])
+    return blocks[0], statuses[0], depth
 
 
 def _chained_jacobian(map_, xs, steps):

@@ -16,6 +16,7 @@ from .bundles import (
     NoGap,
     closedness_condition_check,
     domination_check,
+    selector_block,
     strongest_subbundle,
 )
 from .config import ConfigError, ExperimentConfig
@@ -38,7 +39,6 @@ from .lyapunov import (
     birkhoff_exponent,
     chart_line_holds,
     chart_line_violation,
-    integrated_exponent,
     qr_spectrum,
     splitting_exponents,
     support_gap,
@@ -245,20 +245,24 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     map_ = config.build_map()
     mc = config.mc
     exp = config.exponents
+    sel = BundleSelector(config.selector)
+    sel.validate_for(map_.n)
+    if map_.rotations:
+        try:
+            selector_block(sel)
+        except ValueError as e:
+            raise ConfigError(f"config.selector: {e}") from None
     points = map_.sample_uniform(exp["spectrum_points"], mc["seed"] + 101)
     spectrum = [{"point": [float(v) for v in x],
                  "exponents": [float(v) for v in expo]}
                 for x, expo in zip(points, qr_spectrum(map_, points, exp["qr_steps"]))]
-    flag = splitting_exponents(map_, mc["samples"], seed=mc["seed"],
+    flag = splitting_exponents(map_, sel, mc["samples"], seed=mc["seed"],
                                threads=threads)
     bundles = flag["bundles"]
     rejected_max = flag["rejected"] / flag["N"]
     total = flag["sum"]
     total_stderr = flag["sum_stderr"]
-    sel = BundleSelector(config.selector)
-    sel.validate_for(map_.n)
-    integrated = integrated_exponent(map_, sel, mc["samples"], seed=mc["seed"],
-                                     threads=threads)
+    integrated = flag["integrated"]
     x0 = map_.sample_uniform(1, mc["seed"] + 202)[0]
     birkhoff = birkhoff_exponent(map_, sel, x0, exp["orbit"], threads=threads)
     rejected_max = max(rejected_max,

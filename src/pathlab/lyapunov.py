@@ -35,9 +35,11 @@ from .bundles import (
     STATUS_DEGENERATE,
     STATUS_E2ZERO,
     NoGap,
+    _block_frames,
+    _split_status,
     bundle_frames,
     generic_seed_frame,
-    splitting_frames,
+    selector_block,
 )
 from .homology import BundleSelector
 from .smallmat import k_volume
@@ -62,21 +64,34 @@ def qr_spectrum(map_, x, n):
     average at order 1/n. Returns exponents sorted descending. x may be a
     batch (B, n): every point steps in the same loop, one stacked QR per
     step, and row b equals the call at x[b] bit for bit.
+
+    The orbits come from TorusMap.orbit and their differentials from one
+    call per slab of at most CHUNK rows; each slab continues every orbit
+    from its last point, so memory does not grow with n.
     """
     if n < 1:
         raise ValueError("need at least one accumulation step")
     dim = map_.n
     x = np.asarray(x, dtype=float)
-    y = np.atleast_2d(x)
-    q = np.broadcast_to(generic_seed_frame(dim, dim), (y.shape[0], dim, dim))
-    logs = np.zeros(y.shape)
-    for j in range(_QR_BURN_IN + int(n)):
-        q, r = np.linalg.qr(map_.differential(y) @ q)
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
-        if j >= _QR_BURN_IN:
-            logs += np.log(np.abs(diag))
-        y = map_.apply(y)
+    starts = np.atleast_2d(x)
+    b = starts.shape[0]
+    total = _QR_BURN_IN + int(n)
+    slab = max(1, CHUNK // b)
+    q = np.broadcast_to(generic_seed_frame(dim, dim), (b, dim, dim))
+    logs = np.zeros(starts.shape)
+    for lo in range(0, total, slab):
+        steps = min(slab, total - lo)
+        # (steps + 1, B, dim): the last row starts the next slab
+        orbits = np.stack([map_.orbit(p, steps + 1) for p in starts], axis=1)
+        jac = map_.differential(orbits[:steps].reshape(-1, dim))
+        jac = jac.reshape(steps, b, dim, dim)
+        starts = orbits[steps]
+        for j in range(steps):
+            q, r = np.linalg.qr(jac[j] @ q)
+            diag = np.diagonal(r, axis1=1, axis2=2)
+            q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+            if lo + j >= _QR_BURN_IN:
+                logs += np.log(np.abs(diag))
     expo = np.sort(logs / float(n), axis=1)[:, ::-1]
     return expo if x.ndim == 2 else expo[0]
 
@@ -131,23 +146,67 @@ def _spread(valid, blocks=None):
     return est, stderr
 
 
-def _bundle_values(map_, xs, selector):
+def _frame_values(map_, xs, selector, lines=False):
     """Per-sample (value, status, depth) of the one-step log-Jacobian over
-    bundle frames: status is OK for a usable value, else the first failure
-    of the transport or of the volume; depth is the ladder depth."""
-    frames, st, depth = bundle_frames(map_, xs, selector)
+    the selector's bundle frames; with lines, followed by (values (B, n),
+    status, depth) of every line of the full splitting, read off the same
+    forward and backward flags.
+
+    A status is OK for a usable value, else the first failure of the
+    transport, the intersection or the volume; depth is the ladder depth,
+    the deepest over both flags. The lines share one QR factorization of
+    their frame and of the pushed frame. A map with no rotations takes the
+    bundle from its exact eigenvectors (depth 0), so only its lines are
+    transported.
+    """
+    n = map_.n
+    bounds = [(i, i) for i in range(1, n + 1)] if lines else []
+    if map_.rotations:
+        bounds.append(selector_block(selector))
+        blocks, statuses, depth = _block_frames(map_, xs, bounds)
+        frames, st, frames_depth = blocks.pop(), statuses.pop(), depth
+    else:
+        frames, st, frames_depth = bundle_frames(map_, xs, selector)
+        if lines:
+            blocks, statuses, depth = _block_frames(map_, xs, bounds)
     v, ok = _one_step_logs(map_, xs, frames)
     status = np.where(st == OK, np.where(ok, OK, STATUS_DEGENERATE), st)
-    return v, status.astype(np.int8), depth
+    out = (v, status.astype(np.int8), frames_depth)
+    if not lines:
+        return out
+    line_status = _split_status(blocks, statuses)
+    v = np.concatenate(blocks, axis=2)
+    w = np.einsum("bij,bjk->bik", map_.differential(xs), v)
+    rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
+    rw = np.abs(np.diagonal(np.linalg.qr(w, mode="r"), axis1=1, axis2=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(rw) - np.log(rv)
+    vals[line_status != OK] = 0.0
+    return out + (vals, line_status, depth)
 
 
-def _bundle_run(map_, selector, pts, threads, what):
-    """The valid _bundle_values of pts and the deepest ladder rung."""
+def _frame_run(map_, selector, pts, threads, lines=False):
+    """The per-sample _frame_values of pts, concatenated over chunks."""
     if not map_.rotations:
         map_.eigen  # cache before any worker pool touches it
-    vals, status, depth = _per_sample(partial(_bundle_values, map_, selector=selector),
-                                      pts, threads)
-    return _valid(vals, status, what), int(depth.max())
+    return _per_sample(partial(_frame_values, map_, selector=selector, lines=lines),
+                       pts, threads)
+
+
+def _bundle_report(selector, N, seed, vals, status, depth) -> dict:
+    """The integrated exponent of the selector's bundle from its per-sample
+    values over N uniform samples drawn from seed."""
+    valid = _valid(vals, status, "sample")
+    est, stderr = _spread(valid)
+    return {
+        "bundle": list(selector.indices),
+        "estimate": est,
+        "stderr": stderr,
+        "N": N,
+        "m": int(depth.max()),
+        "seed": int(seed),
+        "rejected": int(N - valid.size),
+    }
 
 
 def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
@@ -159,18 +218,8 @@ def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
     """
     selector.validate_for(map_.n)
     N = int(N)
-    valid, depth = _bundle_run(map_, selector, map_.sample_uniform(N, seed),
-                               threads, "sample")
-    est, stderr = _spread(valid)
-    return {
-        "bundle": list(selector.indices),
-        "estimate": est,
-        "stderr": stderr,
-        "N": N,
-        "m": depth,
-        "seed": int(seed),
-        "rejected": int(N - valid.size),
-    }
+    return _bundle_report(selector, N, seed,
+                          *_frame_run(map_, selector, map_.sample_uniform(N, seed), threads))
 
 
 # ------------------------------------------------ in-support weak-unstable gap
@@ -375,34 +424,24 @@ def support_gap(map_, N, seed=0, threads=None) -> dict:
             "horizon": steps}
 
 
-def _splitting_values(map_, xs):
-    """Per-sample (values (B, n), status, depth) of every line of the full
-    splitting, from one QR factorization of its frame and of the pushed
-    frame."""
-    blocks, status, depth = splitting_frames(map_, xs, (1,) * map_.n)
-    v = np.concatenate(blocks, axis=2)
-    w = np.einsum("bij,bjk->bik", map_.differential(xs), v)
-    rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
-    rw = np.abs(np.diagonal(np.linalg.qr(w, mode="r"), axis1=1, axis2=2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(rw) - np.log(rv)
-    vals[status != OK] = 0.0
-    return vals, status, depth
-
-
-def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
-    """Integrated exponents of every line of the full splitting in one pass.
+def splitting_exponents(map_, selector: BundleSelector, N, seed=0,
+                        threads=None) -> dict:
+    """Integrated exponents of every line of the full splitting, and of the
+    selector's bundle as "integrated", in one pass over one forward and
+    one backward flag per sample.
 
     A shared QR factorization per sample covers all n lines, so the
     per-sample values telescope: their sum equals the one-step log-volume
     distortion exactly, which vanishes pointwise here. Each line's value
     differs from its restricted log-Jacobian by a coboundary of a bounded
     function, so the integrals agree while the sum check sharpens from
-    statistical to exact.
+    statistical to exact. The bundle's value is integrated_exponent's, from
+    frames sliced off the same flags, so "m" is the deepest rung over both.
     """
+    selector.validate_for(map_.n)
     N = int(N)
-    per, status, depth = _per_sample(partial(_splitting_values, map_),
-                                     map_.sample_uniform(N, seed), threads)
+    *bundle, per, status, depth = _frame_run(map_, selector, map_.sample_uniform(N, seed),
+                                             threads, lines=True)
     valid = _valid(per, status, "sample")
     m_used = int(depth.max())
     rejected = N - valid.shape[0]
@@ -427,6 +466,7 @@ def splitting_exponents(map_, N, seed=0, threads=None) -> dict:
         "m": m_used,
         "seed": int(seed),
         "rejected": rejected,
+        "integrated": _bundle_report(selector, N, seed, *bundle),
     }
 
 
@@ -456,7 +496,8 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> di
         valid = _valid(g, status, "orbit sample")
         offset, depth = math.log(abs(float(map_.eigen.values[1]))), 0
     else:
-        valid, depth = _bundle_run(map_, selector, orbit, threads, "orbit sample")
+        vals, status, depth = _frame_run(map_, selector, orbit, threads)
+        valid, depth = _valid(vals, status, "orbit sample"), int(depth.max())
         offset = 0.0
     est, stderr = _spread(valid, blocks=min(100, max(2, valid.size // 1000)))
     return {

@@ -10,18 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlab import lyapunov
-from pathlab.bundles import OK, STATUS_E2ZERO, NoGap, bundle_frames
+from pathlab.bundles import OK, STATUS_E2ZERO, NoGap, bundle_frames, generic_seed_frame
 from pathlab.homology import BundleSelector
 from pathlab.lyapunov import (
     _TWIST_RULES,
-    _bundle_run,
-    _bundle_values,
+    _frame_run,
+    _frame_values,
     _line_logs,
     _line_values,
     _one_step_logs,
     _per_sample,
     _spread,
-    _splitting_values,
     birkhoff_exponent,
     chart_line_holds,
     chart_line_violation,
@@ -98,6 +97,36 @@ def test_qr_spectrum_batch_rows_match_single_points(perturbed_map):
     assert got.shape == (3, 3)
     for x, row in zip(pts, got):
         assert np.array_equal(row, qr_spectrum(perturbed_map, x, 300))
+
+
+def _qr_spectrum_by_steps(map_, x, n):
+    # reference: apply and differential of the whole batch at every step
+    dim = map_.n
+    y = np.atleast_2d(np.asarray(x, dtype=float))
+    q = np.broadcast_to(generic_seed_frame(dim, dim), (y.shape[0], dim, dim))
+    logs = np.zeros(y.shape)
+    for j in range(lyapunov._QR_BURN_IN + n):
+        q, r = np.linalg.qr(map_.differential(y) @ q)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+        if j >= lyapunov._QR_BURN_IN:
+            logs += np.log(np.abs(diag))
+        y = map_.apply(y)
+    return np.sort(logs / float(n), axis=1)[:, ::-1]
+
+
+def test_qr_spectrum_matches_per_step_loop_across_slabs(perturbed_map, monkeypatch):
+    # CENTER's orbit starts inside the support
+    pts = np.vstack([CENTER, perturbed_map.sample_support(1, 3), X0])
+    assert perturbed_map.support_mask(perturbed_map.orbit(pts[0], 400)).sum() > 1
+    want = _qr_spectrum_by_steps(perturbed_map, pts, 300)
+    assert np.array_equal(qr_spectrum(perturbed_map, pts, 300), want)
+    # slabs of 7 and of 1 orbit steps: seams in the burn-in, at its end
+    # and in the accumulation, and a short last slab
+    for chunk in (21, 2):
+        monkeypatch.setattr(lyapunov, "CHUNK", chunk)
+        assert np.array_equal(qr_spectrum(perturbed_map, pts, 300), want)
+        assert np.array_equal(qr_spectrum(perturbed_map, pts[0], 300), want[0])
 
 
 def test_qr_spectrum_perturbed_sum_zero(perturbed_map):
@@ -299,8 +328,9 @@ def test_per_sample_values_independent_of_chunks_and_threads(seed, chunk, thread
     # frame transport is slow: 12 points, half of them in the support
     mixed = np.vstack([map_.sample_uniform(6, seed), inside[:6]])
     cases = ((partial(_line_values, map_, steps=horizon(map_.eigen)), inside),
-             (partial(_bundle_values, map_, selector=BundleSelector((2,))), mixed),
-             (partial(_splitting_values, map_), mixed))
+             (partial(_frame_values, map_, selector=BundleSelector((2,))), mixed),
+             (partial(_frame_values, map_, selector=BundleSelector((2,)), lines=True),
+              mixed))
     saved = lyapunov.CHUNK
     lyapunov.CHUNK = chunk
     try:
@@ -430,10 +460,11 @@ def test_birkhoff_one_pass_matches_frame_path(calibration_map):
     n = 6000
     x0 = calibration_map.sample_uniform(1, 202)[0]
     rep = birkhoff_exponent(calibration_map, BundleSelector((2,)), x0, n)
-    valid, depth = _bundle_run(calibration_map, BundleSelector((2,)),
-                               calibration_map.orbit(x0, n), None, "orbit sample")
+    vals, status, depth = _frame_run(calibration_map, BundleSelector((2,)),
+                                     calibration_map.orbit(x0, n), None)
+    valid = vals[status == OK]
     est, stderr = _spread(valid, blocks=min(100, max(2, valid.size // 1000)))
-    assert depth >= 40 and rep["m"] == 0 and rep["rejected"] == 0
+    assert depth.max() >= 40 and rep["m"] == 0 and rep["rejected"] == 0
     assert rep["stderr"] > 0.0
     # the chart and Euclidean integrands differ by a coboundary, whose
     # endpoint term is below 2^-53 here: neither end lies just before a visit

@@ -8,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pathlab import experiments, lyapunov
+from pathlab import bundles, experiments, lyapunov
 from pathlab.cli import main
 from pathlab.config import ConfigError, ExperimentConfig
 from pathlab.experiments import (
@@ -288,6 +289,32 @@ def test_exponents_gap_check_null_off_the_chart_line():
     assert _small_exponents(cfg)["gap_check"] is None
 
 
+def test_exponents_transports_the_uniform_samples_once_per_rung(monkeypatch):
+    # the splitting and the selected bundle share one flag pair per sample;
+    # line [2] of the Birkhoff orbit and the gap check transport nothing
+    calls, meets = [], []
+    transport = bundles._transport_pair
+    intersect = bundles.intersect_frames
+
+    def counted(map_, xs, k, m, direction):
+        calls.append((direction, m, xs.shape[0]))
+        return transport(map_, xs, k, m, direction)
+
+    def counted_meet(p, q):
+        meets.append(p.shape[0])
+        return intersect(p, q)
+
+    monkeypatch.setattr(bundles, "_transport_pair", counted)
+    monkeypatch.setattr(bundles, "intersect_frames", counted_meet)
+    rep = _small_exponents(detect_config(samples=300))
+    per_rung = Counter((direction, m) for direction, m, _ in calls)
+    assert per_rung and max(per_rung.values()) == 1
+    assert sorted((d, rows) for d, m, rows in calls if m == 40) == [(-1, 300), (1, 300)]
+    # line 2 is also the selected bundle: one meet of the two flags
+    assert meets == [300]
+    assert rep["integrated"]["m"] == rep["bundles"][0]["m"]
+
+
 def test_detect_requires_expanding_second_direction():
     cfg = {"map": {"linear": [[6, -5, 1], [1, 0, 0], [0, 1, 0]]},
            "mc": {"samples": 100}}
@@ -488,6 +515,23 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
                  "--threads", "3"]) == 0
     for name in ("detect.json", "detect.csv", "runs.jsonl"):
         assert (t1 / name).read_bytes() == (t2 / name).read_bytes(), name
+
+
+def test_cli_exponents_noncontiguous_selector_exit_2(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the selector was checked")
+
+    monkeypatch.setattr(experiments, "qr_spectrum", no_work)
+    monkeypatch.setattr(bundles, "_transport_pair", no_work)
+    cfg = detect_config(samples=300)
+    cfg.update(selector=[1, 3], exponents={"qr_steps": 50, "spectrum_points": 1,
+                                           "orbit": 400})
+    out = tmp_path / "o"
+    assert main(["exponents", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert ("config error: config.selector: selector (1, 3) must be contiguous"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_exponents_threads_do_not_change_bytes(tmp_path, monkeypatch):

@@ -450,7 +450,8 @@ def cmd_detect(config: ExperimentConfig, threads=None) -> dict:
 
 
 def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
-    """One detect run per (theta_max, rho) grid cell, errors recorded inline."""
+    """One detect run per (theta_max, rho) grid cell. Domain errors are
+    recorded inline; any other exception is a fault and propagates."""
     if config.sweep is None:
         raise ConfigError("config.sweep: required for sweep")
     if config.map_spec.get("rotations"):
@@ -471,10 +472,13 @@ def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
                     "rotations": rotations}
             try:
                 map_ = TorusMap.from_dict(spec)
+            except ValueError as e:  # the builder's checks, SupportTooLarge among them
+                cells.append({**cell, "error": f"{type(e).__name__}: {e}"})
+                continue
+            try:
                 rep = _detect_on_map(map_, config, threads=threads)
-            except Exception as e:
-                cell["error"] = f"{type(e).__name__}: {e}"
-                cells.append(cell)
+            except (ConfigError, NoGap, IllConditionedIntersection, DegenerateFrame) as e:
+                cells.append({**cell, "error": f"{type(e).__name__}: {e}"})
                 continue
             for key in ("verdict", "gap", "lambda_estimate", "lambda_stderr",
                         "chi", "failed_stage"):

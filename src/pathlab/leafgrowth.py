@@ -165,14 +165,6 @@ def seed_disk(x, frame, r, delta, budget: int = 2_000_000) -> LeafDisk:
     return LeafDisk(k, x, frame, r, delta, 0, params, points, cells, int(budget), False)
 
 
-def _sort_nodes(params, points, cells):
-    keys = tuple(params[:, j] for j in reversed(range(params.shape[1])))
-    perm = np.lexsort(keys)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    return params[perm], points[perm], inv[cells]
-
-
 def _refine_segments(disk_state, map_, seed_point, frame, delta, budget, step):
     params, points, cells, truncated = disk_state
     for _ in range(_MAX_PASSES):
@@ -200,13 +192,13 @@ def _edge_keys(cells):
     order like the sorted vertex pairs, so a 1-D unique on them replaces a
     much slower row-wise unique."""
     raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
-    undirected = np.sort(raw, axis=1).astype(np.int64)
+    undirected = np.sort(raw, axis=1).astype(np.int64, copy=False)
     base = int(undirected.max(initial=0)) + 1
     return raw, undirected[:, 0] * base + undirected[:, 1], base
 
 
 def _unique_edges(cells):
-    _, keys, base = _edge_keys(cells)
+    keys, base = _edge_keys(cells)[1:]
     uniq, inverse = np.unique(keys, return_inverse=True)
     edges = np.column_stack([uniq // base, uniq % base])
     tri_edge = inverse.reshape(3, -1).T
@@ -267,8 +259,9 @@ def _refine_triangles(disk_state, map_, seed_point, frame, delta, budget, step):
         if params.shape[0] + mid_params.shape[0] > budget:
             return params, points, cells, True
         mid_points = _advance(map_, seed_point, frame, mid_params, step)
-        params, points, cells = _sort_nodes(np.vstack([params, mid_params]),
-                                            np.vstack([points, mid_points]), split_cells)
+        params = np.vstack([params, mid_params])
+        points = np.vstack([points, mid_points])
+        cells = split_cells
     raise RuntimeError("refinement did not settle; delta may be degenerate")
 
 

@@ -284,7 +284,7 @@ def _pull_back(blk, n1, n2, q, gap):
     return blk[0, 0] * n1 + blk[1, 0] * m2, blk[0, 1] * n1 + blk[1, 1] * m2
 
 
-def _line_values(map_, xs, steps):
+def _line_values(map_, xs, steps, located=None):
     """Per-sample (g, g0, returned, status) of the chart-metric integrand.
 
     The hyperplane E^{2..n} has a chart normal n with n(x) = J'(x)^T n(f x).
@@ -293,27 +293,28 @@ def _line_values(map_, xs, steps):
     sample steps forward `steps` times, keeps the chart blocks of its
     visits to a support, and pulls back the seed normal e1* from step
     steps + 1. A sample with no visit has n(f x) = e1* exactly, where
-    g = -ln|R'11(x)| = g0 because det R' = 1 (returned is False).
+    g = -ln|R'11(x)| = g0 because det R' = 1 (returned is False). Each
+    image is located once (TorusMap._locate); located is that of xs, if given.
     """
     q = float(map_.eigen.values[1]) / float(map_.eigen.values[0])
-    b = xs.shape[0]
     visits = []
+    located = located or map_._locate(xs)
+    block = map_.chart_blocks(xs, located)
     y = xs
     for k in range(1, steps + 1):
-        y = map_.apply(y)
-        hit = np.flatnonzero(map_.support_mask(y))
+        y = map_.apply(y, located)
+        located = hit, at = map_._locate(y)
         if hit.size:
-            visits.append((k, hit, map_.chart_blocks(y[hit])))
-    n1 = np.ones(b)
-    n2 = np.zeros(b)
-    last = np.full(b, steps + 1)
+            visits.append((k, hit, map_.chart_blocks(y[hit], (np.arange(hit.size), at))))
+    n1 = np.ones(len(xs))
+    n2 = np.zeros(len(xs))
+    last = np.full(len(xs), steps + 1)
     for k, hit, blk in reversed(visits):
         a1, a2 = _pull_back(blk, n1[hit], n2[hit], q, last[hit] - k)
         size = np.hypot(a1, a2)
         n1[hit] = a1 / size
         n2[hit] = a2 / size
         last[hit] = k
-    block = map_.chart_blocks(xs)
     g, status = _line_logs(block, _pull_back(block, n1, n2, q, last))
     with np.errstate(divide="ignore"):
         g0 = -np.log(np.abs(block[0, 0]))
@@ -488,11 +489,11 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> di
         raise ValueError("need at least one orbit step")
     orbit = map_.orbit(x0, n)
     if selector.indices == (2,) and chart_line_holds(map_):
-        visit = np.flatnonzero(map_.support_mask(orbit))
+        visit, at = map_._locate(orbit)
         g = np.zeros(n)
         status = np.full(n, OK, dtype=np.int8)
-        g[visit], _, _, status[visit] = _line_values(map_, orbit[visit],
-                                                     horizon(map_.eigen))
+        g[visit], _, _, status[visit] = _line_values(
+            map_, orbit[visit], horizon(map_.eigen), (np.arange(visit.size), at))
         valid = _valid(g, status, "orbit sample")
         offset, depth = math.log(abs(float(map_.eigen.values[1]))), 0
     else:

@@ -68,7 +68,7 @@ def _apply_matrix(points, mat):
 
 
 def _chart_radius2(y, center, chart_inv):
-    # squared chart radius of one point in Python floats, as chart_coords
+    # squared chart radius of one point in Python floats, as locate
     d = [v - c for v, c in zip(y, center)]
     d = [v - math.floor(v + 0.5) for v in d]
     total = 0.0
@@ -117,47 +117,35 @@ class LocalizedRotation:
         self.theta_max = float(theta_max)
         self.n = len(self.center)
 
-    def chart_coords(self, points):
-        d = _wrap_half(points - self.center)
-        return _apply_matrix(d, self.chart_inv)
-
-    def transform(self, points, sign):
-        """Apply the rotation (sign=+1) or its inverse (sign=-1)."""
-        points = np.asarray(points, dtype=float)
-        u = self.chart_coords(points)
+    def locate(self, points):
+        """The in-support rows of a batch (B, n), with their chart
+        coordinates u = L^-1 wrap(x - c) and chart radii |u|: (rows, u, r).
+        transform and differential take it as _located."""
+        u = _apply_matrix(_wrap_half(points - self.center), self.chart_inv)
         r = np.linalg.norm(u, axis=-1)
-        mask = r < self.rho
+        rows = np.flatnonzero(r < self.rho)
+        return rows, u[rows], r[rows]
+
+    def transform(self, points, sign, _located=None):
+        """Apply the rotation (sign=+1) or its inverse (sign=-1)."""
+        rows, u, r = self.locate(points) if _located is None else _located
         out = points.copy()
-        if not np.any(mask):
-            return out
-        psi, _ = bump_profile(r[mask], self.rho, self.theta_max)
-        psi = sign * psi
+        psi = sign * bump_profile(r, self.rho, self.theta_max)[0]
         i, j = self.plane
-        ui = u[mask, i]
-        uj = u[mask, j]
+        ui, uj = u[:, i], u[:, j]
         c = np.cos(psi)
         s = np.sin(psi)
-        du = np.zeros_like(u[mask])
+        du = np.zeros_like(u)
         du[:, i] = c * ui - s * uj - ui
         du[:, j] = s * ui + c * uj - uj
-        out[mask] += _apply_matrix(du, self.chart)
+        out[rows] += _apply_matrix(du, self.chart)
         return out
 
-    def differential(self, points, sign):
+    def differential(self, points, sign, _located=None):
         """Analytic Jacobian (B, n, n); identity outside the support."""
-        points = np.asarray(points, dtype=float)
-        b = points.shape[0]
+        rows, um, rm = self.locate(points) if _located is None else _located
         n = self.n
-        out = np.broadcast_to(np.eye(n), (b, n, n)).copy()
-        u = self.chart_coords(points)
-        r = np.linalg.norm(u, axis=-1)
-        inside = np.flatnonzero(r < self.rho)
-        out[inside] = self._inside_differential(u[inside], r[inside], sign)
-        return out
-
-    def _inside_differential(self, um, rm, sign):
-        """Jacobians (m, n, n) at in-support rows with chart coords um, radii rm."""
-        n = self.n
+        out = np.broadcast_to(np.eye(n), (points.shape[0], n, n)).copy()
         psi, dpsi = bump_profile(rm, self.rho, self.theta_max)
         psi = sign * psi
         dpsi = sign * dpsi
@@ -166,8 +154,7 @@ class LocalizedRotation:
         uj = um[:, j]
         c = np.cos(psi)
         s = np.sin(psi)
-        m = len(rm)
-        du = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+        du = out[rows]
         du[:, i, i] = c
         du[:, i, j] = -s
         du[:, j, i] = s
@@ -178,7 +165,8 @@ class LocalizedRotation:
         w[:, j] = c * ui - s * uj
         coef = np.where(rm > 0.0, dpsi / np.where(rm > 0.0, rm, 1.0), 0.0)
         du += w[:, :, None] * (um * coef[:, None])[:, None, :]
-        return np.einsum("ab,mbc,cd->mad", self.chart, du, self.chart_inv)
+        out[rows] = np.einsum("ab,mbc,cd->mad", self.chart, du, self.chart_inv)
+        return out
 
     def chart_block(self, u1, u2, r):
         """Entries (b11, b12, b21, b22) of the chart-axes (1, 2) block of the
@@ -194,7 +182,7 @@ class LocalizedRotation:
         s = np.sin(psi)
         coef = np.where(r > 0.0, dpsi / np.where(r > 0.0, r, 1.0), 0.0)
         ui, uj = (u1, u2) if self.plane[0] == 0 else (u2, u1)
-        # the same entries as _inside_differential's du in rows and columns (i, j)
+        # the same entries as differential's du in rows and columns (i, j)
         wi = -s * ui - c * uj
         wj = c * ui - s * uj
         pi = ui * coef
@@ -279,6 +267,7 @@ class TorusMap:
         self._a = linear.as_float()
         self._a_inv = linear.inverse().as_float()
         self._eigen = None
+        self._disjoint = not self.support_overlaps()
 
     @property
     def n(self) -> int:
@@ -301,19 +290,40 @@ class TorusMap:
 
     # ---------------------------------------------------------------- maps
 
-    def lift_apply(self, x):
+    def _locate(self, pts):
+        """The rows of a batch (B, n) in some support, and each rotation's
+        locate of just those rows: the _located of lift_apply, apply and
+        chart_blocks."""
+        located = [rot.locate(pts) for rot in self.rotations]
+        mask = np.zeros(pts.shape[0], dtype=bool)
+        mask[np.concatenate([np.empty(0, np.intp)] + [loc[0] for loc in located])] = True
+        hit = np.flatnonzero(mask)
+        return hit, [(np.searchsorted(hit, rows), u, r) for rows, u, r in located]
+
+    def _rotate(self, z, sign, located, steps=None):
+        """In-support rows z, with their _locate, moved by the rotations in
+        the order f (sign +1: the last first) or f^-1 (sign -1) applies them;
+        each one's Jacobian at its input goes to steps if given. A rotation
+        keeps points in its support, so disjoint ones need no new locate."""
+        order = list(zip(self.rotations, located))
+        for i, (rot, loc) in enumerate(order[::-1] if sign > 0 else order):
+            if i and not self._disjoint:
+                loc = rot.locate(z)
+            if steps is not None:
+                steps.append(rot.differential(z, sign, loc))
+            z = rot.transform(z, sign, loc)
+        return z
+
+    def lift_apply(self, x, _located=None):
         """Universal-cover lift F(x) = A (x + periodic displacement)."""
         pts, scalar = self._batch(x)
-        y = pts
-        for rot in reversed(self.rotations):
-            y = rot.transform(y, +1)
-        y = _apply_matrix(y, self._a)
+        hit, located = _located or self._locate(pts)
+        y = _apply_matrix(pts, self._a)
+        y[hit] = _apply_matrix(self._rotate(pts[hit], +1, located), self._a)
         return y[0] if scalar else y
 
-    def apply(self, x):
-        pts, scalar = self._batch(x)
-        y = _mod1(self.lift_apply(pts))
-        return y[0] if scalar else y
+    def apply(self, x, _located=None):
+        return _mod1(self.lift_apply(x, _located))
 
     def orbit(self, x0, n):
         """The (n, dim) orbit x0, f x0, ..., f^(n-1) x0, bit for bit the
@@ -355,10 +365,9 @@ class TorusMap:
     def inverse_apply(self, x):
         pts, scalar = self._batch(x)
         y = _apply_matrix(pts, self._a_inv)
-        for rot in self.rotations:
-            y = rot.transform(y, -1)
-        y = _mod1(y)
-        return y[0] if scalar else y
+        hit, located = self._locate(y)
+        y[hit] = self._rotate(y[hit], -1, located)
+        return _mod1(y[0] if scalar else y)
 
     def differential_parts(self, x, sign=+1):
         """Df (sign +1) or D(f^-1) (sign -1) at a batch as (lin, rows, jac):
@@ -366,25 +375,18 @@ class TorusMap:
         (rows, n, n).
 
         Off every support the rotations are the identity, so only rows whose
-        rotation input lies in a support compose rotation Jacobians. For f
-        that input is x, the last rotation acts first and A comes last; for
-        f^-1 it is A^-1 x, and the inverse rotations act in list order.
+        rotation input lies in a support compose rotation Jacobians (_rotate).
+        For f that input is x and A comes last; for f^-1 it is A^-1 x.
         """
         pts, _ = self._batch(x)
-        if sign > 0:
-            lin, rots, y = self._a, self.rotations[::-1], pts
-        else:
-            lin, rots, y = self._a_inv, self.rotations, _apply_matrix(pts, self._a_inv)
-        hit = np.flatnonzero(self.support_mask(y))
+        lin, y = (self._a, pts) if sign > 0 else (self._a_inv, _apply_matrix(pts, self._a_inv))
+        hit, located = self._locate(y)
         if not hit.size:
             return lin, hit, np.empty((0, self.n, self.n))
-        y = y[hit]
+        steps = []
+        self._rotate(y[hit], sign, located, steps)
         jac = None if sign > 0 else np.broadcast_to(lin, (hit.size,) + lin.shape).copy()
-        for k, rot in enumerate(rots):
-            # a rotation's transform only feeds the next one's Jacobian
-            if k:
-                y = rots[k - 1].transform(y, sign)
-            step = rot.differential(y, sign)
+        for step in steps:
             jac = step if jac is None else np.einsum("bij,bjk->bik", step, jac)
         return lin, hit, jac if sign < 0 else np.einsum("ij,bjk->bik", lin, jac)
 
@@ -459,7 +461,7 @@ class TorusMap:
             pts[sel] = rot.support_points(normals[sel], radial[sel])
         return pts
 
-    def chart_blocks(self, x):
+    def chart_blocks(self, x, _located=None):
         """Chart-axes (1, 2) block of the rotations' chart Jacobian R' at a
         batch, component-major (2, 2, B); the identity off every support.
 
@@ -469,24 +471,21 @@ class TorusMap:
         pulled back by its transpose depend on this block alone.
         """
         pts, _ = self._batch(x)
+        hit, located = _located or self._locate(pts)
         blk = np.zeros((2, 2, pts.shape[0]))
         blk[0, 0] = blk[1, 1] = 1.0
-        for rot in self.rotations:
-            u = rot.chart_coords(pts)
-            r = np.linalg.norm(u, axis=-1)
-            hit = np.flatnonzero(r < rot.rho)
-            if hit.size:
-                b11, b12, b21, b22 = rot.chart_block(u[hit, 0], u[hit, 1], r[hit])
-                blk[0, 0, hit], blk[0, 1, hit] = b11, b12
-                blk[1, 0, hit], blk[1, 1, hit] = b21, b22
+        for rot, (rows, u, r) in zip(self.rotations, located):
+            if rows.size:
+                rows = hit[rows]
+                b11, b12, b21, b22 = rot.chart_block(u[:, 0], u[:, 1], r)
+                blk[0, 0, rows], blk[0, 1, rows] = b11, b12
+                blk[1, 0, rows], blk[1, 1, rows] = b21, b22
         return blk
 
     def support_mask(self, x):
         pts, scalar = self._batch(x)
         mask = np.zeros(pts.shape[0], dtype=bool)
-        for rot in self.rotations:
-            u = rot.chart_coords(pts)
-            mask |= np.linalg.norm(u, axis=-1) < rot.rho
+        mask[self._locate(pts)[0]] = True
         return mask[0] if scalar else mask
 
     def c1_distance_estimate(self, samples: int = 10000, seed: int = 0) -> dict:

@@ -438,6 +438,22 @@ def test_sweep_records_cell_errors_and_continues():
     assert "SupportTooLarge" in rep["cells"][1]["error"]
 
 
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # a cell records only domain errors; a TypeError is a fault in the program
+    def broken(*args, **kwargs):
+        raise TypeError("broken estimator")
+
+    monkeypatch.setattr(experiments, "support_gap", broken)
+    cfg = {
+        "map": {"linear": COMPANION},
+        "mc": {"samples": 800, "seed": 0},
+        "detect": {"preflight_samples": 40, "c1_samples": 200},
+        "sweep": {"theta_max": [0.4], "rho": [0.12], "center": CENTER},
+    }
+    with pytest.raises(TypeError, match="broken estimator"):
+        cmd_sweep(ExperimentConfig.from_dict(cfg))
+
+
 # ----------------------------------------------------------------------- CLI
 
 
@@ -645,17 +661,22 @@ def _names_used(tree):
 
 
 def test_every_package_name_is_used():
-    # each module-level def, class or assigned name of the package is named
-    # somewhere outside its own definition: elsewhere in src, or in the
-    # benchmark, whose tracer also patches functions by their string names
+    # each module-level def, class or assigned name of the package, and each
+    # non-dunder method or property of its classes, is named somewhere
+    # outside its own definition: elsewhere in src, or in the benchmark,
+    # whose tracer also patches functions by their string names
     root = Path(__file__).resolve().parents[1]
     defined = {}
     used = set()
     for path in sorted((root / "src" / "pathlab").glob("*.py")):
         tree = ast.parse(path.read_text())
         for top in tree.body:
+            members = []
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 names = [top.name]
+                if isinstance(top, ast.ClassDef):
+                    members = [m for m in top.body if isinstance(m, ast.FunctionDef)
+                               and not re.fullmatch(r"__\w+__", m.name)]
             elif isinstance(top, (ast.Assign, ast.AnnAssign)):
                 targets = top.targets if isinstance(top, ast.Assign) else [top.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
@@ -663,7 +684,11 @@ def test_every_package_name_is_used():
                 names = []
             for name in names:
                 defined[name] = path.name
-            used |= _names_used(top) - set(names)
+            for m in members:
+                defined[m.name] = f"{path.name}:{top.name}"
+            own = {id(m): m.name for m in members}
+            for node in ast.iter_child_nodes(top) if members else [top]:
+                used |= _names_used(node) - set(names) - {own.get(id(node))}
     for path in sorted((root / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
         used |= _names_used(tree)

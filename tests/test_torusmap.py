@@ -3,6 +3,8 @@
 The differential is checked against a central finite-difference oracle, and
 volume preservation against LAPACK determinants of the assembled Jacobians.
 """
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from pathlab.torusmap import (
     TorusMap,
     _apply_matrix,
     _mod1,
+    _wrap_half,
     build_localized_rotation,
+    bump_profile,
 )
 
 CAT = [[2, 1], [1, 1]]
@@ -543,6 +547,138 @@ def test_orbit_is_iterated_apply_bit_for_bit(which, where, seed, eps):
         x0 = map_.sample_uniform(1, seed)[0]
     want = _iterated_apply(map_, x0, 300)
     assert _same_bits(map_.orbit(x0, 300), want)
+
+
+# ------------------------------------------------------------ chart passes
+
+# (linear part, rotations as (center, plane, rho, theta_max)): 3-D maps with
+# one, two and three rotations, where the first two of the three overlap,
+# and the 4-D map
+KERNEL_MAPS = (
+    (COMPANION, [(CENTER, (2, 1), 0.12, 0.5)]),
+    (COMPANION, [(CENTER, (2, 1), 0.05, 0.7), ([0.81, 0.97, 0.12], (1, 3), 0.08, 0.7)]),
+    (COMPANION, [(CENTER, (2, 1), 0.10, 0.4), ([0.33, 0.49, 0.60], (3, 2), 0.10, 0.7),
+                 ([0.77, 0.13, 0.52], (1, 3), 0.10, 0.3)]),
+    (M4, [([0.3, 0.55, 0.7, 0.45], (1, 2), 0.1, 0.6)]),
+)
+
+
+def _kernel_map(which):
+    linear, rots = KERNEL_MAPS[which]
+    a = UnimodularMatrix(linear)
+    eig = eigen_real(a)
+    return TorusMap(a, [build_localized_rotation(eig, center=c, plane=p, rho=rho,
+                                                 theta_max=theta)
+                        for c, p, rho, theta in rots])
+
+
+# a reference kernel that runs one chart pass per rotation on every batch it
+# acts on: chart coordinates of all rows, then the in-support mask
+
+def _ref_chart(rot, y):
+    u = _apply_matrix(_wrap_half(y - rot.center), rot.chart_inv)
+    return u, np.linalg.norm(u, axis=-1)
+
+
+def _ref_transform(rot, y, sign):
+    u, r = _ref_chart(rot, y)
+    mask = r < rot.rho
+    out = y.copy()
+    if np.any(mask):
+        psi = sign * bump_profile(r[mask], rot.rho, rot.theta_max)[0]
+        i, j = rot.plane
+        ui, uj = u[mask, i], u[mask, j]
+        c, s = np.cos(psi), np.sin(psi)
+        du = np.zeros_like(u[mask])
+        du[:, i] = c * ui - s * uj - ui
+        du[:, j] = s * ui + c * uj - uj
+        out[mask] += _apply_matrix(du, rot.chart)
+    return out
+
+
+def _ref_mask(map_, y):
+    mask = np.zeros(y.shape[0], dtype=bool)
+    for rot in map_.rotations:
+        mask |= _ref_chart(rot, y)[1] < rot.rho
+    return mask
+
+
+def _ref_blocks(map_, y):
+    blk = np.zeros((2, 2, y.shape[0]))
+    blk[0, 0] = blk[1, 1] = 1.0
+    for rot in map_.rotations:
+        u, r = _ref_chart(rot, y)
+        hit = np.flatnonzero(r < rot.rho)
+        if hit.size:
+            b11, b12, b21, b22 = rot.chart_block(u[hit, 0], u[hit, 1], r[hit])
+            blk[0, 0, hit], blk[0, 1, hit] = b11, b12
+            blk[1, 0, hit], blk[1, 1, hit] = b21, b22
+    return blk
+
+
+def _ref_parts(map_, x, sign):
+    a, a_inv = map_.linear.as_float(), map_.linear.inverse().as_float()
+    if sign > 0:
+        lin, rots, y = a, map_.rotations[::-1], x
+    else:
+        lin, rots, y = a_inv, map_.rotations, _apply_matrix(x, a_inv)
+    hit = np.flatnonzero(_ref_mask(map_, y))
+    y = y[hit]
+    jac = None if sign > 0 else np.broadcast_to(lin, (hit.size,) + lin.shape).copy()
+    for k, rot in enumerate(rots):
+        if k:
+            y = _ref_transform(rots[k - 1], y, sign)
+        u, r = _ref_chart(rot, y)
+        inside = np.flatnonzero(r < rot.rho)
+        # the Jacobian formula is the rotation's; only its chart data come from here
+        step = rot.differential(y, sign, (inside, u[inside], r[inside]))
+        jac = step if jac is None else np.einsum("bij,bjk->bik", step, jac)
+    return lin, hit, jac if sign < 0 else np.einsum("ij,bjk->bik", lin, jac)
+
+
+def _blocks_or_error(blocks, y):
+    try:
+        return blocks(y)
+    except ValueError as e:
+        return str(e)
+
+
+@given(st.integers(0, len(KERNEL_MAPS) - 1), st.integers(0, 2**32 - 1),
+       st.integers(0, 30), st.integers(1, 30))
+@settings(max_examples=30, deadline=None)
+def test_located_kernel_matches_per_rotation_chart_passes(which, seed, n_out, n_in):
+    map_ = _kernel_map(which)
+    assert map_.support_overlaps() == ([(0, 1)] if which == 2 else [])
+    rng = np.random.default_rng(seed)
+    inside = map_.sample_support(n_in, seed)
+    rot = map_.rotations[rng.integers(len(map_.rotations))]
+    # on a support boundary, within a few ulps of rho either way
+    u = rng.standard_normal((4, map_.n))
+    u *= (rot.rho * (1.0 + rng.uniform(-1e-15, 1e-15, 4)) / np.linalg.norm(u, axis=1))[:, None]
+    near = _mod1(rot.center + _apply_matrix(u, rot.chart))
+    # images of support points: their preimages under A are in a support
+    x = np.vstack([rng.random((n_out, map_.n)), inside, near, map_.apply(inside)])
+    x = x[rng.permutation(x.shape[0])]
+    a, a_inv = map_.linear.as_float(), map_.linear.inverse().as_float()
+    lift = x
+    for r in reversed(map_.rotations):
+        lift = _ref_transform(r, lift, +1)
+    lift = _apply_matrix(lift, a)
+    inverse = _apply_matrix(x, a_inv)
+    for r in map_.rotations:
+        inverse = _ref_transform(r, inverse, -1)
+    assert _same_bits(map_.lift_apply(x), lift)
+    assert _same_bits(map_.apply(x), _mod1(lift))
+    assert _same_bits(map_.inverse_apply(x), _mod1(inverse))
+    assert np.array_equal(map_.support_mask(x), _ref_mask(map_, x))
+    got, want = (_blocks_or_error(f, x) for f in (map_.chart_blocks,
+                                                  partial(_ref_blocks, map_)))
+    assert got == want if isinstance(want, str) else _same_bits(got, want)
+    for sign in (+1, -1):
+        lin, hit, jac = map_.differential_parts(x, sign)
+        ref_lin, ref_hit, ref_jac = _ref_parts(map_, x, sign)
+        assert _same_bits(lin, ref_lin) and np.array_equal(hit, ref_hit)
+        assert _same_bits(jac, ref_jac)
 
 
 def test_orbit_keeps_positive_zero():

@@ -284,7 +284,7 @@ def _pull_back(blk, n1, n2, q, gap):
     return blk[0, 0] * n1 + blk[1, 0] * m2, blk[0, 1] * n1 + blk[1, 1] * m2
 
 
-def _line_values(map_, xs, steps, located=None):
+def _line_values(map_, xs, steps):
     """Per-sample (g, g0, returned, status) of the chart-metric integrand.
 
     The hyperplane E^{2..n} has a chart normal n with n(x) = J'(x)^T n(f x).
@@ -294,11 +294,11 @@ def _line_values(map_, xs, steps, located=None):
     visits to a support, and pulls back the seed normal e1* from step
     steps + 1. A sample with no visit has n(f x) = e1* exactly, where
     g = -ln|R'11(x)| = g0 because det R' = 1 (returned is False). Each
-    image is located once (TorusMap._locate); located is that of xs, if given.
+    image is located once (TorusMap._locate).
     """
     q = float(map_.eigen.values[1]) / float(map_.eigen.values[0])
     visits = []
-    located = located or map_._locate(xs)
+    located = map_._locate(xs)
     block = map_.chart_blocks(xs, located)
     y = xs
     for k in range(1, steps + 1):
@@ -489,11 +489,11 @@ def birkhoff_exponent(map_, selector: BundleSelector, x0, n, threads=None) -> di
         raise ValueError("need at least one orbit step")
     orbit = map_.orbit(x0, n)
     if selector.indices == (2,) and chart_line_holds(map_):
-        visit, at = map_._locate(orbit)
+        visit = np.flatnonzero(map_.support_mask(orbit))
         g = np.zeros(n)
         status = np.full(n, OK, dtype=np.int8)
-        g[visit], _, _, status[visit] = _line_values(
-            map_, orbit[visit], horizon(map_.eigen), (np.arange(visit.size), at))
+        g[visit], _, _, status[visit] = _line_values(map_, orbit[visit],
+                                                     horizon(map_.eigen))
         valid = _valid(g, status, "orbit sample")
         offset, depth = math.log(abs(float(map_.eigen.values[1]))), 0
     else:

@@ -267,7 +267,6 @@ class TorusMap:
         self._a = linear.as_float()
         self._a_inv = linear.inverse().as_float()
         self._eigen = None
-        self._disjoint = not self.support_overlaps()
 
     @property
     def n(self) -> int:
@@ -302,16 +301,18 @@ class TorusMap:
 
     def _rotate(self, z, sign, located, steps=None):
         """In-support rows z, with their _locate, moved by the rotations in
-        the order f (sign +1: the last first) or f^-1 (sign -1) applies them;
-        each one's Jacobian at its input goes to steps if given. A rotation
-        keeps points in its support, so disjoint ones need no new locate."""
+        the order f (sign +1: the last first) or f^-1 (sign -1) applies them.
+        Given steps, it collects each one's Jacobian at its input instead and
+        skips the last move. Later rotations locate the moved rows again."""
         order = list(zip(self.rotations, located))
-        for i, (rot, loc) in enumerate(order[::-1] if sign > 0 else order):
-            if i and not self._disjoint:
+        order = order[::-1] if sign > 0 else order
+        for i, (rot, loc) in enumerate(order, 1):
+            if i > 1:
                 loc = rot.locate(z)
             if steps is not None:
                 steps.append(rot.differential(z, sign, loc))
-            z = rot.transform(z, sign, loc)
+            if steps is None or i < len(order):
+                z = rot.transform(z, sign, loc)
         return z
 
     def lift_apply(self, x, _located=None):

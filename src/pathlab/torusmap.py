@@ -304,8 +304,7 @@ class TorusMap:
         the order f (sign +1: the last first) or f^-1 (sign -1) applies them.
         Given steps, it collects each one's Jacobian at its input instead and
         skips the last move. Later rotations locate the moved rows again."""
-        order = list(zip(self.rotations, located))
-        order = order[::-1] if sign > 0 else order
+        order = list(zip(self.rotations, located))[::-1 if sign > 0 else 1]
         for i, (rot, loc) in enumerate(order, 1):
             if i > 1:
                 loc = rot.locate(z)

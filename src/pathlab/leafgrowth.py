@@ -4,9 +4,12 @@ A disk is seeded flat in an orthonormal frame at a base point and pushed
 forward through the lift of a torus map. Every node keeps the parameter it
 was born with in the seed chart, and refinement computes new nodes by mapping
 their seed position through all elapsed steps, so no chord interpolation
-error ever enters a node coordinate. Segment midpoint insertion (k = 1) and
-conforming marked-edge bisection (k = 2) keep node spacing below the mesh
-bound delta in lifted coordinates.
+error ever enters a node coordinate. Nodes stay in creation order. One
+refinement loop repeats a split step until no side is longer than the mesh
+bound delta in lifted coordinates: in-place segment halving for curves
+(k = 1), whose cells stay in curve order, and conforming marked-edge
+bisection for surfaces (k = 2). The disk carries its boundary, a curve's end
+nodes or a surface's outer loop, through every pass.
 
 Volumes are unsigned sums of segment lengths or triangle areas; current
 components use signed projected measures, which is why the triangulation
@@ -18,7 +21,7 @@ leaves remain affine between existing nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +41,12 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class LeafDisk:
+    """A k-disk after `step` steps; points[i] is the image of seed_point +
+    frame @ params[i], and nodes are in creation order. Curve cells chain
+    head to tail; triangles are oriented like the parameter plane. boundary
+    holds node indices: a curve's ends, at parameters -radius and radius, or
+    a surface's outer loop, each node followed by its counterclockwise
+    neighbour in the parameter plane."""
     k: int
     seed_point: np.ndarray
     frame: np.ndarray
@@ -47,6 +56,7 @@ class LeafDisk:
     params: np.ndarray
     points: np.ndarray
     cells: np.ndarray
+    boundary: np.ndarray
     budget: int
     truncated: bool
 
@@ -59,16 +69,21 @@ class LeafDisk:
         return self.points.shape[1]
 
     def volume(self) -> float:
-        if self.k == 1:
-            d = self.points[self.cells[:, 1]] - self.points[self.cells[:, 0]]
-            return float(np.sum(np.linalg.norm(d, axis=1)))
-        e1 = self.points[self.cells[:, 1]] - self.points[self.cells[:, 0]]
-        e2 = self.points[self.cells[:, 2]] - self.points[self.cells[:, 0]]
-        g11 = np.einsum("ij,ij->i", e1, e1)
-        g22 = np.einsum("ij,ij->i", e2, e2)
-        g12 = np.einsum("ij,ij->i", e1, e2)
-        det = np.maximum(g11 * g22 - g12 * g12, 0.0)
-        return float(0.5 * np.sum(np.sqrt(det)))
+        return _measure(self.points, self.cells)[0]
+
+
+def _measure(points, cells):
+    """Unsigned volume of the cells, and the vectors from each cell's first
+    node to its other nodes."""
+    sides = [points[cells[:, j]] - points[cells[:, 0]] for j in range(1, cells.shape[1])]
+    if len(sides) == 1:
+        return float(np.sum(np.linalg.norm(sides[0], axis=1))), sides
+    e1, e2 = sides
+    g11 = np.einsum("ij,ij->i", e1, e1)
+    g22 = np.einsum("ij,ij->i", e2, e2)
+    g12 = np.einsum("ij,ij->i", e1, e2)
+    det = np.maximum(g11 * g22 - g12 * g12, 0.0)
+    return float(0.5 * np.sum(np.sqrt(det))), sides
 
 
 def _seed_positions(seed_point, frame, params):
@@ -88,7 +103,8 @@ def _advance(map_, seed_point, frame, params, steps):
 
 
 def _disk_mesh(radius, delta):
-    """Ring-triangulated round disk with all edges at most delta.
+    """Ring-triangulated round disk with all edges at most delta, and its
+    outer ring, counterclockwise.
 
     Twenty rings minimum keeps the inscribed-polygon area within 0.05
     percent of the round disk, small enough that mesh-halving volume
@@ -128,7 +144,7 @@ def _disk_mesh(radius, delta):
         edges = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
         lens = np.linalg.norm(params[edges[:, 0]] - params[edges[:, 1]], axis=1)
         if float(np.max(lens)) <= delta:
-            return params, cells
+            return params, cells, np.arange(len(nodes) - 6 * rings, len(nodes))
         rings += 1
 
 
@@ -157,48 +173,36 @@ def seed_disk(x, frame, r, delta, budget: int = 2_000_000) -> LeafDisk:
         t = np.linspace(-r, r, 2 * half + 1)
         params = t[:, None]
         cells = np.column_stack([np.arange(2 * half), np.arange(1, 2 * half + 1)])
+        boundary = np.array([0, 2 * half])
     else:
-        params, cells = _disk_mesh(r, delta)
+        params, cells, boundary = _disk_mesh(r, delta)
     if params.shape[0] > budget:
         raise BudgetExceeded(f"seed needs {params.shape[0]} nodes, budget is {budget}")
     points = _seed_positions(x, frame, params)
-    return LeafDisk(k, x, frame, r, delta, 0, params, points, cells, int(budget), False)
+    return LeafDisk(k, x, frame, r, delta, 0, params, points, cells, boundary,
+                    int(budget), False)
 
 
-def _refine_segments(disk_state, map_, seed_point, frame, delta, budget, step):
-    params, points, cells, truncated = disk_state
-    for _ in range(_MAX_PASSES):
-        d = points[cells[:, 1]] - points[cells[:, 0]]
-        lens = np.linalg.norm(d, axis=1)
-        over = lens > delta
-        if not np.any(over):
-            return params, points, cells, truncated
-        mid_params = 0.5 * (params[cells[over, 0]] + params[cells[over, 1]])
-        if params.shape[0] + mid_params.shape[0] > budget:
-            return params, points, cells, True
-        mid_points = _advance(map_, seed_point, frame, mid_params, step)
-        params = np.vstack([params, mid_params])
-        points = np.vstack([points, mid_points])
-        order = np.argsort(params[:, 0])
-        params = params[order]
-        points = points[order]
-        m = params.shape[0]
-        cells = np.column_stack([np.arange(m - 1), np.arange(1, m)])
-    raise RuntimeError("refinement did not settle; delta may be degenerate")
-
-
-def _edge_keys(cells):
-    """Triangle sides (3T, 2) and one int64 key per undirected side; keys
-    order like the sorted vertex pairs, so a 1-D unique on them replaces a
-    much slower row-wise unique."""
-    raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
-    undirected = np.sort(raw, axis=1).astype(np.int64, copy=False)
-    base = int(undirected.max(initial=0)) + 1
-    return raw, undirected[:, 0] * base + undirected[:, 1], base
+def _halving(params, points, cells, ends, delta):
+    """Midpoint parameters, cells and ends of one pass that halves in place
+    every segment longer than delta, or None if none is."""
+    over = np.linalg.norm(points[cells[:, 1]] - points[cells[:, 0]], axis=1) > delta
+    if not np.any(over):
+        return None
+    mids = params.shape[0] + np.arange(np.count_nonzero(over))
+    chain = np.insert(np.append(cells[:, 0], cells[-1, 1]), np.flatnonzero(over) + 1, mids)
+    return (0.5 * (params[cells[over, 0]] + params[cells[over, 1]]),
+            np.column_stack([chain[:-1], chain[1:]]), ends)
 
 
 def _unique_edges(cells):
-    keys, base = _edge_keys(cells)[1:]
+    """Sorted undirected sides (E, 2) and each triangle's three rows in them,
+    by a 1-D unique on int64 keys that order like the sorted vertex pairs."""
+    sides = np.sort(np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]]),
+                    axis=1)
+    base = int(sides.max(initial=0)) + 1
+    keys = sides[:, 0] * base + sides[:, 1]
+    del sides  # freed before np.unique sorts and inverts the keys
     uniq, inverse = np.unique(keys, return_inverse=True)
     edges = np.column_stack([uniq // base, uniq % base])
     tri_edge = inverse.reshape(3, -1).T
@@ -216,10 +220,12 @@ _BISECTIONS = {
 }
 
 
-def _bisection(params, points, cells, delta):
-    """Midpoint parameters and cells of one longest-edge bisection pass over
-    the sides longer than delta, or None if no side is. A helper, so that a
-    pass's temporaries are freed before the next pass dedups a larger mesh."""
+def _bisection(params, points, cells, loop, delta):
+    """Midpoint parameters, cells and boundary loop of one longest-edge
+    bisection pass over the sides longer than delta, or None if no side is.
+    Midpoints are numbered after the existing nodes, and each split loop
+    side gets its midpoint after its first node. A helper, so that a pass's
+    temporaries are freed before the next pass dedups a larger mesh."""
     edges, tri_edge = _unique_edges(cells)
     lens = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
     marked = lens > delta
@@ -230,13 +236,19 @@ def _bisection(params, points, cells, delta):
     longest = np.argmax(lens[tri_edge], axis=1)
     long_edge = np.take_along_axis(tri_edge, longest[:, None], axis=1)[:, 0]
     while True:
-        need = marked[tri_edge].any(axis=1) & ~marked[long_edge]
-        if not np.any(need):
+        grow = long_edge[marked[tri_edge].any(axis=1) & ~marked[long_edge]]
+        if grow.size == 0:
             break
-        marked[long_edge[need]] = True
+        marked[grow] = True
     split_idx = np.flatnonzero(marked)
     mid_of = np.full(edges.shape[0], -1, dtype=np.int64)
     mid_of[split_idx] = params.shape[0] + np.arange(split_idx.shape[0])
+    # find the loop's sides in the edge table, one record per row, which
+    # sorts like the vertex pair, and insert each midpoint after its side
+    pair = np.dtype([("lo", np.int64), ("hi", np.int64)])
+    sides = np.sort(np.column_stack([loop, np.roll(loop, -1)]), axis=1)
+    mids = mid_of[np.searchsorted(edges.view(pair)[:, 0], sides.view(pair)[:, 0])]
+    loop = np.insert(loop, np.flatnonzero(mids >= 0) + 1, mids[mids >= 0])
     turn = (longest[:, None] + np.arange(3)) % 3
     side_marked = np.take_along_axis(marked[tri_edge], turn, axis=1)
     corners = np.hstack([np.take_along_axis(cells, turn, axis=1),
@@ -246,22 +258,25 @@ def _bisection(params, points, cells, delta):
     for (m1, m2), pattern in _BISECTIONS.items():
         rows = corners[split & (side_marked[:, 1] == m1) & (side_marked[:, 2] == m2)]
         out.extend(rows[:, p] for p in pattern)
-    return 0.5 * (params[edges[split_idx, 0]] + params[edges[split_idx, 1]]), np.vstack(out)
+    return (0.5 * (params[edges[split_idx, 0]] + params[edges[split_idx, 1]]),
+            np.vstack(out), loop)
 
 
-def _refine_triangles(disk_state, map_, seed_point, frame, delta, budget, step):
-    params, points, cells, truncated = disk_state
+def _refine(disk, map_, step, params, points, cells, boundary):
+    """Refined params, points, cells and boundary of the disk's mesh at
+    `step`, and whether the budget blocked a pass, which it leaves undone."""
+    split_step = _halving if disk.k == 1 else _bisection
     for _ in range(_MAX_PASSES):
-        refined = _bisection(params, points, cells, delta)
+        refined = split_step(params, points, cells, boundary, disk.delta)
         if refined is None:
-            return params, points, cells, truncated
-        mid_params, split_cells = refined
-        if params.shape[0] + mid_params.shape[0] > budget:
-            return params, points, cells, True
-        mid_points = _advance(map_, seed_point, frame, mid_params, step)
+            return params, points, cells, boundary, False
+        mid_params, split_cells, split_boundary = refined
+        if params.shape[0] + mid_params.shape[0] > disk.budget:
+            return params, points, cells, boundary, True
+        mid_points = _advance(map_, disk.seed_point, disk.frame, mid_params, step)
         params = np.vstack([params, mid_params])
         points = np.vstack([points, mid_points])
-        cells = split_cells
+        cells, boundary = split_cells, split_boundary
     raise RuntimeError("refinement did not settle; delta may be degenerate")
 
 
@@ -279,26 +294,20 @@ def iterate_refine(disk: LeafDisk, map_, steps: int, on_budget: str = "flag") ->
         raise ValueError(f"on_budget must be 'flag' or 'raise', got {on_budget!r}")
     if map_.n != disk.ambient_dim:
         raise ValueError("map dimension does not match the disk")
-    params, points, cells = disk.params, disk.points, disk.cells
-    truncated = disk.truncated
-    step = disk.step
-    refine = _refine_segments if disk.k == 1 else _refine_triangles
+    params, points, cells, boundary = disk.params, disk.points, disk.cells, disk.boundary
+    step, truncated = disk.step, disk.truncated
     for _ in range(steps):
         points = map_.lift_apply(points)
         step += 1
         if not truncated:
-            params, points, cells, truncated = refine(
-                (params, points, cells, truncated),
-                map_, disk.seed_point, disk.frame, disk.delta, disk.budget, step,
-            )
+            params, points, cells, boundary, truncated = _refine(
+                disk, map_, step, params, points, cells, boundary)
             if truncated and on_budget == "raise":
                 raise BudgetExceeded(
                     f"budget {disk.budget} blocks refinement at step {step}"
                 )
-    return LeafDisk(
-        disk.k, disk.seed_point, disk.frame, disk.radius, disk.delta,
-        step, params, points, cells, disk.budget, truncated,
-    )
+    return replace(disk, step=step, params=params, points=points, cells=cells,
+                   boundary=boundary, truncated=truncated)
 
 
 def chi_estimate(records) -> dict:
@@ -384,12 +393,6 @@ class CurrentValue:
     boundary_terms: dict
 
 
-def _boundary_edges(cells):
-    raw, keys, _ = _edge_keys(cells)
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return raw[counts[inverse] == 1]
-
-
 def current_eval(disk: LeafDisk, forms=None) -> CurrentValue:
     """Normalized currents of the disk and Stokes boundary diagnostics.
 
@@ -398,21 +401,19 @@ def current_eval(disk: LeafDisk, forms=None) -> CurrentValue:
     through the circulation of alpha along the boundary, with a two-point
     Gauss rule per boundary segment.
     """
-    vol = disk.volume()
+    pts = disk.points
+    vol, sides = _measure(pts, disk.cells)
     if vol <= 0.0:
         raise ValueError("disk volume vanished; cannot normalize currents")
     nd = disk.ambient_dim
     wi = WedgeIndex(nd, disk.k)
-    pts = disk.points
     components = {}
     if disk.k == 1:
-        d = pts[disk.cells[:, 1]] - pts[disk.cells[:, 0]]
-        totals = np.sum(d, axis=0)
+        totals = np.sum(sides[0], axis=0)
         for label, (i,) in zip(wi.labels(), wi.subsets):
             components[label] = float(totals[i] / vol)
     else:
-        e1 = pts[disk.cells[:, 1]] - pts[disk.cells[:, 0]]
-        e2 = pts[disk.cells[:, 2]] - pts[disk.cells[:, 0]]
+        e1, e2 = sides
         for label, (i, j) in zip(wi.labels(), wi.subsets):
             signed = 0.5 * np.sum(e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i])
             components[label] = float(signed / vol)
@@ -420,19 +421,14 @@ def current_eval(disk: LeafDisk, forms=None) -> CurrentValue:
         forms = default_test_forms(nd, disk.k)
     boundary_terms = {}
     if disk.k == 1:
-        ends = (pts[0], pts[-1])
         for form in forms:
             if form.component is not None:
                 raise ValueError("boundary terms of a curve need 0-form potentials")
-            ga = form.coefficient(ends[0][None, :])[0]
-            gb = form.coefficient(ends[1][None, :])[0]
+            ga, gb = form.coefficient(pts[disk.boundary])
             boundary_terms[form.label] = float(abs(gb - ga) / vol)
-    elif forms:
-        # the boundary edge set is a full edge dedup; build it only if used
-        bedges = _boundary_edges(disk.cells)
-        pa = pts[bedges[:, 0]]
-        pb = pts[bedges[:, 1]]
-        seg = pb - pa
+    else:
+        pa = pts[disk.boundary]
+        seg = pts[np.roll(disk.boundary, -1)] - pa
         for form in forms:
             if form.component is None:
                 raise ValueError("boundary terms of a surface need 1-form test forms")
@@ -463,7 +459,8 @@ def asymptotic_cycle(disk: LeafDisk) -> CycleEstimate:
     """
     if disk.k != 1:
         raise ValueError("asymptotic cycles are defined for curves only")
-    displacement = disk.points[-1] - disk.points[0]
+    start, end = disk.points[disk.boundary]
+    displacement = end - start
     arc = disk.volume()
     if arc <= 0.0:
         raise ValueError("curve has zero length")

@@ -1,17 +1,17 @@
 """Leaf disk tracking: seeding, refinement, growth rates, currents, cycles."""
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlab.homology import BundleSelector, topological_growth
 from pathlab.leafgrowth import (
     BadRadius,
     _advance,
-    _boundary_edges,
     _unique_edges,
     BudgetExceeded,
     CurrentValue,
@@ -175,6 +175,23 @@ def test_refined_mesh_stays_conforming(perturbed_map):
     assert np.all(area2 > 0.0)
 
 
+@pytest.mark.parametrize("k, budget", [(1, 10**6), (2, 10**6), (2, 6000)])
+def test_grouped_steps_match_single_steps(perturbed_map, k, budget):
+    # commands step one at a time and most tests many at once; the carried
+    # mesh must not depend on how the steps are grouped
+    frame = perturbed_map.eigen.vectors[:, 0] if k == 1 else unstable_frame(perturbed_map)
+    disk = seed_disk([0.31, 0.47, 0.62], frame, 2e-3, 1.2e-3, budget=budget)
+    grouped = iterate_refine(disk, perturbed_map, 3)
+    single = disk
+    for _ in range(3):
+        single = iterate_refine(single, perturbed_map, 1)
+    assert grouped.truncated == single.truncated == (budget < 10**6)
+    for name in ("params", "points", "cells", "boundary"):
+        a, b = getattr(grouped, name), getattr(single, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def node_provenance_error(disk, map_, sample=100, seed=0):
     """Largest distance between stored nodes and their recomputed positions."""
     rng = np.random.default_rng(seed)
@@ -325,7 +342,7 @@ def test_boundary_term_curve_is_potential_difference(cat_map):
     disk = seed_disk([0.2, 0.3], v1, 1e-3, 1e-4)
     disk = iterate_refine(disk, cat_map, 4)
     cv = current_eval(disk)
-    ends = (disk.points[0], disk.points[-1])
+    ends = disk.points[disk.boundary]
     length = disk.volume()
     for form in default_test_forms(2, 1):
         fn = math.sin if form.trig == "sin" else math.cos
@@ -365,10 +382,7 @@ def test_volume_positive_required():
     ident = TorusMap(np.eye(2, dtype=int))
     v = np.array([1.0, 0.0])
     disk = seed_disk([0.2, 0.3], v, 1e-3, 1e-4)
-    zero = disk.__class__(
-        disk.k, disk.seed_point, disk.frame, disk.radius, disk.delta, disk.step,
-        disk.params, np.zeros_like(disk.points), disk.cells, disk.budget, False,
-    )
+    zero = dataclasses.replace(disk, points=np.zeros_like(disk.points))
     with pytest.raises(ValueError):
         current_eval(zero)
     assert ident.n == 2
@@ -435,16 +449,56 @@ def test_track_growth_records(cat_map):
     }
 
 
-# ------------------------------------------------------------- edge tables
+# ------------------------------------------------- edge tables and boundary
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(3, 300))
 @settings(max_examples=30, deadline=None)
 def test_edge_tables_match_rowwise_unique(seed, tris, nodes):
     cells = np.random.default_rng(seed).integers(0, nodes, size=(tris, 3))
     raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
-    ref, inverse, counts = np.unique(np.sort(raw, axis=1), axis=0,
-                                     return_inverse=True, return_counts=True)
+    ref, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
     edges, tri_edge = _unique_edges(cells)
     assert np.array_equal(edges, ref)
     assert np.array_equal(tri_edge, inverse.reshape(3, -1).T)
-    assert np.array_equal(_boundary_edges(cells), raw[counts[inverse.ravel()] == 1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    point=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    k=st.sampled_from([1, 2]),
+    perturbed=st.booleans(),
+    steps=st.integers(1, 4),
+    tight=st.booleans(),
+)
+@example(point=(0.1, 0.2, 0.3), k=2, perturbed=False, steps=3, tight=True)
+@example(point=(0.31, 0.47, 0.62), k=1, perturbed=True, steps=4, tight=False)
+def test_carried_boundary_is_the_deduped_boundary(companion_map, perturbed_map, point,
+                                                  k, perturbed, steps, tight):
+    map_ = perturbed_map if perturbed else companion_map
+    if k == 1:
+        disk = seed_disk(point, map_.eigen.vectors[:, 0], 1e-3, 1e-4,
+                         budget=60 if tight else 10**6)
+    else:
+        disk = seed_disk(point, unstable_frame(map_), 2e-3, 1.9e-3,
+                         budget=3000 if tight else 10**6)
+    disk = iterate_refine(disk, map_, steps)
+    if tight and steps > 1 and not perturbed:
+        # the linear map's mesh does not depend on the point
+        assert disk.truncated
+    b, cells = disk.boundary, disk.cells
+    if k == 1:
+        assert disk.params[b, 0].tolist() == [-disk.radius, disk.radius]
+        assert cells[0, 0] == b[0] and cells[-1, 1] == b[1]
+        assert np.array_equal(cells[1:, 0], cells[:-1, 1])
+        return
+    # the sides that a dedup of all triangle sides finds once, as directed
+    # in their triangles, are exactly the loop's consecutive pairs
+    raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
+    lo, hi = np.sort(raw, axis=1).T
+    _, inverse, counts = np.unique(lo * disk.n_nodes + hi, return_inverse=True,
+                                   return_counts=True)
+    once = raw[counts[inverse] == 1]
+    loop_sides = np.column_stack([b, np.roll(b, -1)])
+    assert np.unique(b).shape == b.shape
+    assert np.array_equal(np.unique(loop_sides, axis=0), np.unique(once, axis=0))
+    assert loop_sides.shape == once.shape

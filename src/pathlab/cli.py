@@ -12,9 +12,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .bundles import IllConditionedIntersection, NoGap
 from .config import ConfigError, ExperimentConfig
 from .experiments import (
+    _DOMAIN_ERRORS,
     cmd_analyze,
     cmd_cycle,
     cmd_detect,
@@ -23,14 +23,12 @@ from .experiments import (
     cmd_sweep,
 )
 from .leafgrowth import BadRadius, BudgetExceeded
-from .lyapunov import DegenerateFrame
 from .reporting import append_run, config_digest, ensure_dir, write_csv, write_report
 from .smallmat import DegenerateSpectrum, NonRealSpectrum
 
 _COMMANDS = ("analyze", "growth", "cycle", "exponents", "detect", "sweep")
 
-_NUMERIC_ERRORS = (DegenerateSpectrum, NonRealSpectrum, NoGap,
-                   IllConditionedIntersection, DegenerateFrame, BadRadius)
+_NUMERIC_ERRORS = (DegenerateSpectrum, NonRealSpectrum, *_DOMAIN_ERRORS, BadRadius)
 
 
 def _parser():

@@ -43,7 +43,7 @@ from .lyapunov import (
     splitting_exponents,
     support_gap,
 )
-from .smallmat import WedgeIndex, char_poly, eigen_real, int_det
+from .smallmat import WedgeIndex, char_poly, int_det
 from .torusmap import TorusMap
 
 NON_ABSOLUTELY_CONTINUOUS = "NON_ABSOLUTELY_CONTINUOUS"
@@ -51,6 +51,10 @@ CONSISTENT_WITH_AC = "CONSISTENT_WITH_AC"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _REJECT_RATE_LIMIT = 1e-3
+
+# a method's failures on inputs outside its domain: detect and sweep record
+# them in the report, and the CLI exits 3 on them
+_DOMAIN_ERRORS = (NoGap, IllConditionedIntersection, DegenerateFrame)
 
 # chained steps of the closedness preflight, and the volume preflight's
 # tolerance on |det Df| - 1
@@ -65,7 +69,7 @@ def _log_moduli(values):
 def cmd_analyze(config: ExperimentConfig) -> dict:
     """Exact spectral and homological data of the map; no sampling."""
     map_ = config.build_map()
-    eigen = eigen_real(map_.linear)
+    eigen = map_.eigen
     n = eigen.n
     induced = []
     for k in range(1, n + 1):
@@ -136,7 +140,7 @@ def cmd_growth(config: ExperimentConfig) -> dict:
         raise ConfigError("config.leaf.steps: growth needs at least 3 steps")
     map_ = config.build_map()
     sel.validate_for(map_.n)
-    eigen = eigen_real(map_.linear)
+    eigen = map_.eigen
     target = _growth_target(eigen, sel)
     runs = []
     warnings = []
@@ -191,7 +195,7 @@ def cmd_cycle(config: ExperimentConfig) -> dict:
             f"config.selector: cycle tracks the strongest curve, selector "
             f"must be [1], got {list(sel.indices)}")
     map_ = config.build_map()
-    eigen = eigen_real(map_.linear)
+    eigen = map_.eigen
     v1 = eigen.vectors[:, 0]
     runs = []
     for pi, point in enumerate(leaf["points"]):
@@ -370,7 +374,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
             preflights["domination"] = {**dom, "passed": dom["holds"]}
             if not dom["holds"]:
                 failed = "domination"
-        except (NoGap, IllConditionedIntersection, DegenerateFrame) as e:
+        except _DOMAIN_ERRORS as e:
             preflights["domination"] = {"error": str(e), "passed": False}
             failed = "domination"
 
@@ -382,7 +386,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
             preflights["closedness"] = {**clo, "passed": clo["holds"]}
             if not clo["holds"]:
                 failed = "closedness"
-        except (NoGap, IllConditionedIntersection, DegenerateFrame) as e:
+        except _DOMAIN_ERRORS as e:
             preflights["closedness"] = {"error": str(e), "passed": False}
             failed = "closedness"
 
@@ -404,7 +408,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
         try:
             measurement = support_gap(map_, mc["samples"], seed=mc["seed"],
                                       threads=threads)
-        except (NoGap, IllConditionedIntersection, DegenerateFrame) as e:
+        except _DOMAIN_ERRORS as e:
             preflights["rejections"] = {"error": str(e), "passed": False}
             failed = "rejections"
         if measurement is not None:
@@ -477,7 +481,7 @@ def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
                 continue
             try:
                 rep = _detect_on_map(map_, config, threads=threads)
-            except (ConfigError, NoGap, IllConditionedIntersection, DegenerateFrame) as e:
+            except (ConfigError, *_DOMAIN_ERRORS) as e:
                 cells.append({**cell, "error": f"{type(e).__name__}: {e}"})
                 continue
             for key in ("verdict", "gap", "lambda_estimate", "lambda_stderr",

@@ -195,18 +195,15 @@ def _halving(params, points, cells, ends, delta):
             np.column_stack([chain[:-1], chain[1:]]), ends)
 
 
-def _unique_edges(cells):
-    """Sorted undirected sides (E, 2) and each triangle's three rows in them,
-    by a 1-D unique on int64 keys that order like the sorted vertex pairs."""
-    sides = np.sort(np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]]),
-                    axis=1)
-    base = int(sides.max(initial=0)) + 1
-    keys = sides[:, 0] * base + sides[:, 1]
-    del sides  # freed before np.unique sorts and inverts the keys
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    edges = np.column_stack([uniq // base, uniq % base])
-    tri_edge = inverse.reshape(3, -1).T
-    return edges, tri_edge
+def _unique_edges(cells, base):
+    """Sorted int64 keys min * base + max of the undirected sides, for a base
+    above every node index, and each triangle's three rows in them."""
+    a = cells.T.ravel()
+    b = np.roll(a, -cells.shape[0])
+    keys = np.minimum(a, b) * base + np.maximum(a, b)
+    del a, b  # freed before np.unique sorts and inverts the keys
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, inverse.reshape(3, -1).T
 
 
 # bisection patterns over the corners (a, b, c, m_ab, m_bc, m_ca) of a
@@ -224,10 +221,13 @@ def _bisection(params, points, cells, loop, delta):
     """Midpoint parameters, cells and boundary loop of one longest-edge
     bisection pass over the sides longer than delta, or None if no side is.
     Midpoints are numbered after the existing nodes, and each split loop
-    side gets its midpoint after its first node. A helper, so that a pass's
-    temporaries are freed before the next pass dedups a larger mesh."""
-    edges, tri_edge = _unique_edges(cells)
-    lens = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    side gets its midpoint after its first node. Sides are int64 keys with
+    the node count as base (_unique_edges); a loop side's key is found in
+    the sorted table. A helper, so that a pass's temporaries are freed
+    before the next pass dedups a larger mesh."""
+    base = params.shape[0]
+    keys, tri_edge = _unique_edges(cells, base)
+    lens = np.linalg.norm(points[keys // base] - points[keys % base], axis=1)
     marked = lens > delta
     if not np.any(marked):
         return None
@@ -241,14 +241,13 @@ def _bisection(params, points, cells, loop, delta):
             break
         marked[grow] = True
     split_idx = np.flatnonzero(marked)
-    mid_of = np.full(edges.shape[0], -1, dtype=np.int64)
-    mid_of[split_idx] = params.shape[0] + np.arange(split_idx.shape[0])
-    # find the loop's sides in the edge table, one record per row, which
-    # sorts like the vertex pair, and insert each midpoint after its side
-    pair = np.dtype([("lo", np.int64), ("hi", np.int64)])
-    sides = np.sort(np.column_stack([loop, np.roll(loop, -1)]), axis=1)
-    mids = mid_of[np.searchsorted(edges.view(pair)[:, 0], sides.view(pair)[:, 0])]
+    mid_of = np.full(keys.shape[0], -1, dtype=np.int64)
+    mid_of[split_idx] = base + np.arange(split_idx.shape[0])
+    nxt = np.roll(loop, -1)
+    mids = mid_of[np.searchsorted(keys, np.minimum(loop, nxt) * base + np.maximum(loop, nxt))]
     loop = np.insert(loop, np.flatnonzero(mids >= 0) + 1, mids[mids >= 0])
+    ends = np.divmod(keys[split_idx], base)
+    del keys  # freed before the split cells are built
     turn = (longest[:, None] + np.arange(3)) % 3
     side_marked = np.take_along_axis(marked[tri_edge], turn, axis=1)
     corners = np.hstack([np.take_along_axis(cells, turn, axis=1),
@@ -258,8 +257,7 @@ def _bisection(params, points, cells, loop, delta):
     for (m1, m2), pattern in _BISECTIONS.items():
         rows = corners[split & (side_marked[:, 1] == m1) & (side_marked[:, 2] == m2)]
         out.extend(rows[:, p] for p in pattern)
-    return (0.5 * (params[edges[split_idx, 0]] + params[edges[split_idx, 1]]),
-            np.vstack(out), loop)
+    return 0.5 * (params[ends[0]] + params[ends[1]]), np.vstack(out), loop
 
 
 def _refine(disk, map_, step, params, points, cells, boundary):

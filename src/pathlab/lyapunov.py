@@ -96,12 +96,11 @@ def qr_spectrum(map_, x, n):
     return expo if x.ndim == 2 else expo[0]
 
 
-def _one_step_logs(map_, xs, frames):
-    """ln of the k-volume stretch of Df on the span of each frame, batched
-    (B, n) with (B, n, k): (values, ok). Basis independent (a
-    k-volume ratio); ok is False where a frame spans less than k
-    dimensions."""
-    moved = np.einsum("bij,bjk->bik", map_.differential(xs), frames)
+def _one_step_logs(jac, frames):
+    """ln of the k-volume stretch of the Jacobians jac (B, n, n) on the span
+    of each frame (B, n, k): (values, ok). Basis independent (a k-volume
+    ratio); ok is False where a frame spans less than k dimensions."""
+    moved = np.einsum("bij,bjk->bik", jac, frames)
     vol0 = np.atleast_1d(k_volume(frames))
     vol1 = np.atleast_1d(k_volume(moved))
     ok = vol0 > 1e-12
@@ -154,7 +153,8 @@ def _frame_values(map_, xs, selector, lines=False):
 
     A status is OK for a usable value, else the first failure of the
     transport, the intersection or the volume; depth is the ladder depth,
-    the deepest over both flags. The lines share one QR factorization of
+    the deepest over both flags. The bundle and the lines push their frames
+    through one Df per chunk, and the lines share one QR factorization of
     their frame and of the pushed frame. A map with no rotations takes the
     bundle from its exact eigenvectors (depth 0), so only its lines are
     transported.
@@ -169,14 +169,15 @@ def _frame_values(map_, xs, selector, lines=False):
         frames, st, frames_depth = bundle_frames(map_, xs, selector)
         if lines:
             blocks, statuses, depth = _block_frames(map_, xs, bounds)
-    v, ok = _one_step_logs(map_, xs, frames)
+    jac = map_.differential(xs)
+    v, ok = _one_step_logs(jac, frames)
     status = np.where(st == OK, np.where(ok, OK, STATUS_DEGENERATE), st)
     out = (v, status.astype(np.int8), frames_depth)
     if not lines:
         return out
     line_status = _split_status(blocks, statuses)
     v = np.concatenate(blocks, axis=2)
-    w = np.einsum("bij,bjk->bik", map_.differential(xs), v)
+    w = np.einsum("bij,bjk->bik", jac, v)
     rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
     rw = np.abs(np.diagonal(np.linalg.qr(w, mode="r"), axis1=1, axis2=2))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,35 +192,6 @@ def _frame_run(map_, selector, pts, threads, lines=False):
         map_.eigen  # cache before any worker pool touches it
     return _per_sample(partial(_frame_values, map_, selector=selector, lines=lines),
                        pts, threads)
-
-
-def _bundle_report(selector, N, seed, vals, status, depth) -> dict:
-    """The integrated exponent of the selector's bundle from its per-sample
-    values over N uniform samples drawn from seed."""
-    valid = _valid(vals, status, "sample")
-    est, stderr = _spread(valid)
-    return {
-        "bundle": list(selector.indices),
-        "estimate": est,
-        "stderr": stderr,
-        "N": N,
-        "m": int(depth.max()),
-        "seed": int(seed),
-        "rejected": int(N - valid.size),
-    }
-
-
-def integrated_exponent(map_, selector: BundleSelector, N, seed=0,
-                        threads=None) -> dict:
-    """Monte Carlo integral of the bundle's one-step log-Jacobian.
-
-    Samples that fail the splitting (no gap, ill-conditioned intersection,
-    collapsed frame) are excluded and counted in "rejected".
-    """
-    selector.validate_for(map_.n)
-    N = int(N)
-    return _bundle_report(selector, N, seed,
-                          *_frame_run(map_, selector, map_.sample_uniform(N, seed), threads))
 
 
 # ------------------------------------------------ in-support weak-unstable gap
@@ -436,13 +408,16 @@ def splitting_exponents(map_, selector: BundleSelector, N, seed=0,
     distortion exactly, which vanishes pointwise here. Each line's value
     differs from its restricted log-Jacobian by a coboundary of a bounded
     function, so the integrals agree while the sum check sharpens from
-    statistical to exact. The bundle's value is integrated_exponent's, from
-    frames sliced off the same flags, so "m" is the deepest rung over both.
+    statistical to exact. The bundle's value is the Monte Carlo mean of its
+    one-step restricted log-Jacobian over frames sliced off the same flags,
+    so "m" is the deepest rung over both; samples that fail the splitting
+    (no gap, ill-conditioned intersection, collapsed frame) are excluded
+    and counted in "rejected".
     """
     selector.validate_for(map_.n)
     N = int(N)
-    *bundle, per, status, depth = _frame_run(map_, selector, map_.sample_uniform(N, seed),
-                                             threads, lines=True)
+    vals, st, frames_depth, per, status, depth = _frame_run(
+        map_, selector, map_.sample_uniform(N, seed), threads, lines=True)
     valid = _valid(per, status, "sample")
     m_used = int(depth.max())
     rejected = N - valid.shape[0]
@@ -459,6 +434,8 @@ def splitting_exponents(map_, selector: BundleSelector, N, seed=0,
             "rejected": rejected,
         })
     total_est, total_stderr = _spread(valid.sum(axis=1))
+    in_bundle = _valid(vals, st, "sample")
+    est, stderr = _spread(in_bundle)
     return {
         "bundles": bundles,
         "sum": total_est,
@@ -467,7 +444,15 @@ def splitting_exponents(map_, selector: BundleSelector, N, seed=0,
         "m": m_used,
         "seed": int(seed),
         "rejected": rejected,
-        "integrated": _bundle_report(selector, N, seed, *bundle),
+        "integrated": {
+            "bundle": list(selector.indices),
+            "estimate": est,
+            "stderr": stderr,
+            "N": N,
+            "m": int(frames_depth.max()),
+            "seed": int(seed),
+            "rejected": int(N - in_bundle.size),
+        },
     }
 
 

@@ -141,19 +141,25 @@ class LocalizedRotation:
         out[rows] += _apply_matrix(du, self.chart)
         return out
 
+    def _twist(self, ui, uj, r, sign):
+        """cos psi, sin psi, the shear rows (w_i, w_j) = dR/dpsi (u_i, u_j) and
+        psi'/r of the rotation (sign +1) or its inverse (sign -1) at chart
+        points of radius r: R' = R(psi) + w (psi'/r) u^T. The arrays broadcast."""
+        psi, dpsi = bump_profile(r, self.rho, self.theta_max)
+        psi = sign * psi
+        dpsi = sign * dpsi
+        c = np.cos(psi)
+        s = np.sin(psi)
+        coef = np.where(r > 0.0, dpsi / np.where(r > 0.0, r, 1.0), 0.0)
+        return c, s, -s * ui - c * uj, c * ui - s * uj, coef
+
     def differential(self, points, sign, _located=None):
         """Analytic Jacobian (B, n, n); identity outside the support."""
         rows, um, rm = self.locate(points) if _located is None else _located
         n = self.n
         out = np.broadcast_to(np.eye(n), (points.shape[0], n, n)).copy()
-        psi, dpsi = bump_profile(rm, self.rho, self.theta_max)
-        psi = sign * psi
-        dpsi = sign * dpsi
         i, j = self.plane
-        ui = um[:, i]
-        uj = um[:, j]
-        c = np.cos(psi)
-        s = np.sin(psi)
+        c, s, wi, wj, coef = self._twist(um[:, i], um[:, j], rm, sign)
         du = out[rows]
         du[:, i, i] = c
         du[:, i, j] = -s
@@ -161,9 +167,8 @@ class LocalizedRotation:
         du[:, j, j] = c
         # radial shear: d/du [R(psi(|u|)) u] picks up (dR/dpsi u) psi' u^T / |u|
         w = np.zeros_like(um)
-        w[:, i] = -s * ui - c * uj
-        w[:, j] = c * ui - s * uj
-        coef = np.where(rm > 0.0, dpsi / np.where(rm > 0.0, rm, 1.0), 0.0)
+        w[:, i] = wi
+        w[:, j] = wj
         du += w[:, :, None] * (um * coef[:, None])[:, None, :]
         out[rows] = np.einsum("ab,mbc,cd->mad", self.chart, du, self.chart_inv)
         return out
@@ -177,14 +182,8 @@ class LocalizedRotation:
         """
         if set(self.plane) != {0, 1}:
             raise ValueError("the chart (1, 2) block needs a rotation in chart plane {1, 2}")
-        psi, dpsi = bump_profile(r, self.rho, self.theta_max)
-        c = np.cos(psi)
-        s = np.sin(psi)
-        coef = np.where(r > 0.0, dpsi / np.where(r > 0.0, r, 1.0), 0.0)
         ui, uj = (u1, u2) if self.plane[0] == 0 else (u2, u1)
-        # the same entries as differential's du in rows and columns (i, j)
-        wi = -s * ui - c * uj
-        wj = c * ui - s * uj
+        c, s, wi, wj, coef = self._twist(ui, uj, r, +1)
         pi = ui * coef
         pj = uj * coef
         dii, dij = c + wi * pi, wi * pj - s

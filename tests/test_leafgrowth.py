@@ -155,13 +155,13 @@ def test_refined_mesh_stays_conforming(perturbed_map):
     disk = iterate_refine(disk, perturbed_map, 4)
     assert not disk.truncated
     cells = disk.cells
-    edges = np.sort(
-        np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]]), axis=1
-    )
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    v = disk.n_nodes
+    a = cells.ravel()
+    b = np.roll(cells, -1, axis=1).ravel()
+    # one int64 key per undirected side, min * v + max
+    uniq, counts = np.unique(np.minimum(a, b) * v + np.maximum(a, b), return_counts=True)
     # interior edges belong to exactly two triangles, boundary edges to one
     assert set(counts) <= {1, 2}
-    v = disk.n_nodes
     e = uniq.shape[0]
     f = cells.shape[0]
     assert v - e + f == 1
@@ -457,8 +457,9 @@ def test_edge_tables_match_rowwise_unique(seed, tris, nodes):
     cells = np.random.default_rng(seed).integers(0, nodes, size=(tris, 3))
     raw = np.vstack([cells[:, (0, 1)], cells[:, (1, 2)], cells[:, (2, 0)]])
     ref, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
-    edges, tri_edge = _unique_edges(cells)
-    assert np.array_equal(edges, ref)
+    keys, tri_edge = _unique_edges(cells, nodes)
+    assert np.array_equal(keys, ref[:, 0] * nodes + ref[:, 1])
+    assert np.array_equal(np.column_stack(np.divmod(keys, nodes)), ref)
     assert np.array_equal(tri_edge, inverse.reshape(3, -1).T)
 
 

@@ -25,8 +25,8 @@ from pathlab.lyapunov import (
     chart_line_holds,
     chart_line_violation,
     horizon,
-    integrated_exponent,
     qr_spectrum,
+    splitting_exponents,
     support_gap,
     twist_mean,
 )
@@ -138,7 +138,8 @@ def test_qr_spectrum_perturbed_sum_zero(perturbed_map):
 # ---------------------------------------------------------------- one step
 
 def _one_step(map_, x, frame):
-    vals, ok = _one_step_logs(map_, np.asarray(x, float)[None], frame[None])
+    xs = np.asarray(x, float)[None]
+    vals, ok = _one_step_logs(map_.differential(xs), frame[None])
     assert ok[0]
     return vals[0]
 
@@ -161,14 +162,14 @@ def test_one_step_full_frame_volume_preserving(perturbed_map):
     rng = np.random.default_rng(3)
     xs = rng.random((50, 3))
     frames = np.broadcast_to(np.eye(3), (50, 3, 3)).copy()
-    vals, ok = _one_step_logs(perturbed_map, xs, frames)
+    vals, ok = _one_step_logs(perturbed_map.differential(xs), frames)
     assert ok.all()
     assert np.abs(vals).max() < 1e-9
 
 
 def test_one_step_degenerate_frame(linear_map):
     frame = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
-    _, ok = _one_step_logs(linear_map, X0[None], frame[None])
+    _, ok = _one_step_logs(linear_map.differential(X0[None]), frame[None])
     assert not ok[0]
 
 
@@ -189,8 +190,13 @@ def test_one_step_basis_invariance(seed):
 
 # ---------------------------------------------------------------- integrated
 
+def integrated(map_, selector, N, seed=0, threads=None):
+    """The bundle's integrated exponent as `exponents` reports it."""
+    return splitting_exponents(map_, selector, N, seed, threads)["integrated"]
+
+
 def test_integrated_linear_exact_zero_spread(linear_map):
-    rep = integrated_exponent(linear_map, BundleSelector((1,)), N=500, seed=1)
+    rep = integrated(linear_map, BundleSelector((1,)), N=500, seed=1)
     assert rep["stderr"] == 0.0
     assert rep["rejected"] == 0
     assert abs(rep["estimate"] - math.log(COMPANION_EIGS[0])) < 1e-12
@@ -200,21 +206,21 @@ def test_integrated_linear_exact_zero_spread(linear_map):
 
 
 def test_integrated_linear_noncontiguous_selector(linear_map):
-    rep = integrated_exponent(linear_map, BundleSelector((1, 3)), N=200, seed=0)
+    rep = integrated(linear_map, BundleSelector((1, 3)), N=200, seed=0)
     want = math.log(COMPANION_EIGS[0] * COMPANION_EIGS[2])
     assert rep["stderr"] == 0.0
     assert abs(rep["estimate"] - want) < 1e-12
 
 
 def test_integrated_full_bundle_sums_to_zero(linear_map):
-    rep = integrated_exponent(linear_map, BundleSelector((1, 2, 3)), N=200, seed=0)
+    rep = integrated(linear_map, BundleSelector((1, 2, 3)), N=200, seed=0)
     assert abs(rep["estimate"]) < 1e-12
     assert rep["stderr"] == 0.0
 
 
 def test_integrated_perturbed_bundle_sum(perturbed_map):
     reps = [
-        integrated_exponent(perturbed_map, BundleSelector((i,)), N=3000, seed=9)
+        integrated(perturbed_map, BundleSelector((i,)), N=3000, seed=9)
         for i in (1, 2, 3)
     ]
     total = sum(r["estimate"] for r in reps)
@@ -225,8 +231,8 @@ def test_integrated_perturbed_bundle_sum(perturbed_map):
 
 def test_integrated_determinism_across_threads(perturbed_map):
     sel = BundleSelector((2,))
-    a = integrated_exponent(perturbed_map, sel, N=1500, seed=4, threads=1)
-    b = integrated_exponent(perturbed_map, sel, N=1500, seed=4, threads=3)
+    a = integrated(perturbed_map, sel, N=1500, seed=4, threads=1)
+    b = integrated(perturbed_map, sel, N=1500, seed=4, threads=3)
     assert a == b
 
 
@@ -237,8 +243,8 @@ def test_integrated_stderr_scales_with_samples(perturbed_map):
     sel = BundleSelector((2,))
     ratios = []
     for seed in (12, 13, 14, 15, 16):
-        small = integrated_exponent(perturbed_map, sel, N=1500, seed=seed)
-        large = integrated_exponent(perturbed_map, sel, N=15000, seed=seed)
+        small = integrated(perturbed_map, sel, N=1500, seed=seed)
+        large = integrated(perturbed_map, sel, N=15000, seed=seed)
         ratios.append(small["stderr"] / large["stderr"])
     med = float(np.median(ratios))
     assert 2.2 < med < 4.5
@@ -246,9 +252,9 @@ def test_integrated_stderr_scales_with_samples(perturbed_map):
 
 def test_integrated_validates(linear_map):
     with pytest.raises(ValueError):
-        integrated_exponent(linear_map, BundleSelector((1,)), N=0)
+        integrated(linear_map, BundleSelector((1,)), N=0)
     with pytest.raises(ValueError):
-        integrated_exponent(linear_map, BundleSelector((1, 4)), N=10)
+        integrated(linear_map, BundleSelector((1, 4)), N=10)
 
 
 # ---------------------------------------------------------------- birkhoff
@@ -269,7 +275,7 @@ def test_birkhoff_validates_orbit_length(linear_map):
 
 def test_birkhoff_agrees_with_integrated(perturbed_map):
     sel = BundleSelector((2,))
-    mc = integrated_exponent(perturbed_map, sel, N=20000, seed=21)
+    mc = integrated(perturbed_map, sel, N=20000, seed=21)
     orbit = birkhoff_exponent(perturbed_map, sel, X0, n=20000)
     joint = math.sqrt(mc["stderr"] ** 2 + orbit["stderr"] ** 2)
     assert abs(mc["estimate"] - orbit["estimate"]) <= 3 * joint

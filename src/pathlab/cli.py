@@ -26,7 +26,17 @@ from .leafgrowth import BadRadius, BudgetExceeded
 from .reporting import append_run, config_digest, ensure_dir, write_csv, write_report
 from .smallmat import DegenerateSpectrum, NonRealSpectrum
 
-_COMMANDS = ("analyze", "growth", "cycle", "exponents", "detect", "sweep")
+# each command's CSV table, and whether it takes a thread count. main calls
+# cmd_<command> by its module-level name at call time, so a wrapper bound to
+# that name (the benchmark's tracer) sees the call
+_COMMANDS = {
+    "analyze": ("analyze.csv", False),
+    "growth": ("growth_steps.csv", False),
+    "cycle": ("cycle_steps.csv", False),
+    "exponents": ("exponents.csv", True),
+    "detect": ("detect.csv", True),
+    "sweep": ("sweep.csv", True),
+}
 
 _NUMERIC_ERRORS = (DegenerateSpectrum, NonRealSpectrum, *_DOMAIN_ERRORS, BadRadius)
 
@@ -44,24 +54,8 @@ def _parser():
         sp.add_argument("--seed", type=int, default=None,
                         help="override the Monte Carlo seed")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: PATHLAB_THREADS or 1)")
+                        help="worker threads, at least 1 (default 1)")
     return p
-
-
-def _resolve_threads(args):
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("PATHLAB_THREADS")
-        if env is None:
-            return None
-        try:
-            threads, source = int(env), "PATHLAB_THREADS"
-        except ValueError:
-            raise ConfigError(f"PATHLAB_THREADS: must be an integer, got {env!r}")
-    if threads < 1:
-        raise ConfigError(f"{source}: must be at least 1, got {threads}")
-    return threads
 
 
 def _load(args):
@@ -78,16 +72,6 @@ def _load(args):
             raise ConfigError("--seed: must be non-negative")
         cfg = replace(cfg, mc={**cfg.mc, "seed": args.seed})
     return raw, cfg
-
-
-_CSV_NAMES = {
-    "analyze": "analyze.csv",
-    "growth": "growth_steps.csv",
-    "cycle": "cycle_steps.csv",
-    "exponents": "exponents.csv",
-    "detect": "detect.csv",
-    "sweep": "sweep.csv",
-}
 
 
 def _sel_label(indices):
@@ -150,7 +134,8 @@ def _headline(command, report):
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         raw, cfg = _load(args)
         out = args.out or cfg.out
         if out is None:
@@ -159,19 +144,10 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    csv_name, threaded = _COMMANDS[args.command]
+    run = globals()[f"cmd_{args.command}"]
     try:
-        if args.command == "analyze":
-            report = cmd_analyze(cfg)
-        elif args.command == "growth":
-            report = cmd_growth(cfg)
-        elif args.command == "cycle":
-            report = cmd_cycle(cfg)
-        elif args.command == "exponents":
-            report = cmd_exponents(cfg, threads=threads)
-        elif args.command == "detect":
-            report = cmd_detect(cfg, threads=threads)
-        else:
-            report = cmd_sweep(cfg, threads=threads)
+        report = run(cfg, threads=args.threads) if threaded else run(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -188,7 +164,7 @@ def main(argv=None) -> int:
                {"command": args.command, "config_digest": config_digest(raw),
                 "seed": cfg.mc["seed"], "report": report})
     header, rows = _csv_table(args.command, report)
-    write_csv(os.path.join(out, _CSV_NAMES[args.command]), header, rows)
+    write_csv(os.path.join(out, csv_name), header, rows)
     print(f"{args.command}: {_headline(args.command, report)}; reports in {out}")
 
     if args.command == "detect" and report["failed_stage"] is not None:

@@ -6,7 +6,7 @@ dotted-path message instead of silently running the wrong experiment.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .torusmap import TorusMap
 
@@ -92,14 +92,37 @@ def _selector(value, path, n=None):
 
 _TOP_KEYS = ("map", "selector", "leaf", "mc", "detect", "sweep", "exponents", "out")
 
-_MC_DEFAULTS = {"samples": 200000, "seed": 0}
-_DETECT_DEFAULTS = {
-    "significance": 3.0,
-    "gap_floor": 1e-9,
-    "preflight_samples": 200,
-    "c1_samples": 10000,
+# each numeric section's keys: default, integer or float, lower bound, and
+# whether that bound is open
+_SECTIONS = {
+    "mc": {"samples": (200000, int, 1, False), "seed": (0, int, 0, False)},
+    "detect": {
+        "significance": (3.0, float, 0.0, True),
+        "gap_floor": (1e-9, float, 0.0, False),
+        "preflight_samples": (200, int, 1, False),
+        "c1_samples": (10000, int, 1, False),
+    },
+    "exponents": {
+        "qr_steps": (2000, int, 1, False),
+        "spectrum_points": (3, int, 1, False),
+        "orbit": (1000000, int, 1, False),
+    },
 }
-_EXP_DEFAULTS = {"qr_steps": 2000, "spectrum_points": 3, "orbit": 1000000}
+
+
+def _section(raw, name):
+    """The numeric section name of raw with its defaults filled in."""
+    keys = _SECTIONS[name]
+    path = f"config.{name}"
+    obj = _expect_object(raw.get(name, {}), path)
+    _reject_unknown(obj, path, keys)
+    out = {}
+    for key, (default, kind, lo, lo_open) in keys.items():
+        if kind is int:
+            out[key] = _int_field(obj, key, path, default, lo=lo)
+        else:
+            out[key] = _float_field(obj, key, path, default, lo=lo, lo_open=lo_open)
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,13 +135,13 @@ class ExperimentConfig:
     """
 
     map_spec: dict
-    selector: tuple = (1,)
-    leaf: dict | None = None
-    mc: dict = field(default_factory=lambda: dict(_MC_DEFAULTS))
-    detect: dict = field(default_factory=lambda: dict(_DETECT_DEFAULTS))
-    sweep: dict | None = None
-    exponents: dict = field(default_factory=lambda: dict(_EXP_DEFAULTS))
-    out: str | None = None
+    selector: tuple
+    leaf: dict | None
+    mc: dict
+    detect: dict
+    sweep: dict | None
+    exponents: dict
+    out: str | None
 
     def build_map(self) -> TorusMap:
         try:
@@ -149,28 +172,8 @@ class ExperimentConfig:
         if "leaf" in raw:
             leaf = cls._leaf(raw["leaf"], n)
 
-        mc = dict(_MC_DEFAULTS)
-        if "mc" in raw:
-            obj = _expect_object(raw["mc"], "config.mc")
-            _reject_unknown(obj, "config.mc", _MC_DEFAULTS)
-            mc["samples"] = _int_field(obj, "samples", "config.mc", mc["samples"], lo=1)
-            mc["seed"] = _int_field(obj, "seed", "config.mc", mc["seed"], lo=0)
-
-        detect = dict(_DETECT_DEFAULTS)
-        if "detect" in raw:
-            obj = _expect_object(raw["detect"], "config.detect")
-            _reject_unknown(obj, "config.detect", _DETECT_DEFAULTS)
-            detect["significance"] = _float_field(
-                obj, "significance", "config.detect", detect["significance"],
-                lo=0.0, lo_open=True)
-            detect["gap_floor"] = _float_field(
-                obj, "gap_floor", "config.detect", detect["gap_floor"], lo=0.0)
-            detect["preflight_samples"] = _int_field(
-                obj, "preflight_samples", "config.detect",
-                detect["preflight_samples"], lo=1)
-            detect["c1_samples"] = _int_field(
-                obj, "c1_samples", "config.detect", detect["c1_samples"], lo=1)
-
+        mc = _section(raw, "mc")
+        detect = _section(raw, "detect")
         sweep = None
         if "sweep" in raw:
             obj = _expect_object(raw["sweep"], "config.sweep")
@@ -203,14 +206,7 @@ class ExperimentConfig:
             sweep = {"theta_max": thetas, "rho": rhos, "center": center,
                      "plane": plane}
 
-        exponents = dict(_EXP_DEFAULTS)
-        if "exponents" in raw:
-            obj = _expect_object(raw["exponents"], "config.exponents")
-            _reject_unknown(obj, "config.exponents", _EXP_DEFAULTS)
-            for key in ("qr_steps", "spectrum_points", "orbit"):
-                exponents[key] = _int_field(obj, key, "config.exponents",
-                                            exponents[key], lo=1)
-
+        exponents = _section(raw, "exponents")
         out = raw.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("config.out: must be a path string")

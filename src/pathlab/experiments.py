@@ -338,8 +338,8 @@ def _significance(gap, stderr, samples):
 
 def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     """Preflights, exact chi, the gap measured inside the rotation supports,
-    verdict. Stages run in order and the first failed gate aborts the rest
-    with INCONCLUSIVE.
+    verdict. Stages run in order; a stage that raises a domain error fails
+    its gate, and the first failed gate aborts the rest with INCONCLUSIVE.
 
     The verdict is one-directional: the growth lemma bounds the integrated
     exponent by the geometric growth for absolutely continuous foliations,
@@ -351,90 +351,73 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     eigen = map_.eigen
     _detect_prechecks(map_)
     foliation = (2,)
+    chi = measurement = None
+
+    def volume():
+        pts = map_.sample_uniform(det["preflight_samples"], mc["seed"] + 11)
+        dets = np.linalg.det(map_.differential(pts))
+        err = float(np.max(np.abs(np.abs(dets) - 1.0)))
+        return {"max_abs_det_minus_1": err, "tol": _VOLUME_TOL,
+                "passed": err <= _VOLUME_TOL}
+
+    def c1():
+        return map_.c1_distance_estimate(samples=det["c1_samples"],
+                                         seed=mc["seed"] + 12)
+
+    def domination():
+        dom = domination_check(map_, samples=det["preflight_samples"],
+                               seed=mc["seed"] + 13)
+        return {**dom, "passed": dom["holds"]}
+
+    def closedness():
+        clo = closedness_condition_check(
+            map_, BundleSelector((1, 2)), steps=_CLOSEDNESS_STEPS,
+            samples=det["preflight_samples"], seed=mc["seed"] + 14)
+        return {**clo, "passed": clo["holds"]}
+
+    def homology():
+        nonlocal chi
+        lam, _ = topological_growth(eigen, BundleSelector(foliation))
+        chi = float(np.log(abs(lam)))
+        return {"lambda_W": float(lam), "simple": True, "passed": True}
+
+    def rejections():
+        nonlocal measurement
+        measurement = support_gap(map_, mc["samples"], seed=mc["seed"],
+                                  threads=threads)
+        rate = measurement["rejected"] / measurement["N"]
+        return {"rate": float(rate), "limit": _REJECT_RATE_LIMIT,
+                "passed": rate <= _REJECT_RATE_LIMIT}
+
     preflights = {}
     failed = None
-
-    pts = map_.sample_uniform(det["preflight_samples"], mc["seed"] + 11)
-    dets = np.linalg.det(map_.differential(pts))
-    vol_err = float(np.max(np.abs(np.abs(dets) - 1.0)))
-    vol_ok = vol_err <= _VOLUME_TOL
-    preflights["volume"] = {"max_abs_det_minus_1": vol_err,
-                            "tol": _VOLUME_TOL, "passed": vol_ok}
-    if not vol_ok:
-        failed = "volume"
-
-    if failed is None:
-        preflights["c1"] = map_.c1_distance_estimate(
-            samples=det["c1_samples"], seed=mc["seed"] + 12)
-
-    if failed is None:
+    for name, stage in (("volume", volume), ("c1", c1),
+                        ("domination", domination), ("closedness", closedness),
+                        ("homology", homology), ("rejections", rejections)):
         try:
-            dom = domination_check(map_, samples=det["preflight_samples"],
-                                   seed=mc["seed"] + 13)
-            preflights["domination"] = {**dom, "passed": dom["holds"]}
-            if not dom["holds"]:
-                failed = "domination"
-        except _DOMAIN_ERRORS as e:
-            preflights["domination"] = {"error": str(e), "passed": False}
-            failed = "domination"
+            preflights[name] = stage()
+        except (*_DOMAIN_ERRORS, NonSimpleTopEigenvalue) as e:
+            preflights[name] = {"error": str(e), "passed": False}
+        if not preflights[name].get("passed", True):  # c1 records no gate
+            failed = name
+            break
 
-    if failed is None:
-        try:
-            clo = closedness_condition_check(
-                map_, BundleSelector((1, 2)), steps=_CLOSEDNESS_STEPS,
-                samples=det["preflight_samples"], seed=mc["seed"] + 14)
-            preflights["closedness"] = {**clo, "passed": clo["holds"]}
-            if not clo["holds"]:
-                failed = "closedness"
-        except _DOMAIN_ERRORS as e:
-            preflights["closedness"] = {"error": str(e), "passed": False}
-            failed = "closedness"
-
-    chi = chi_prov = None
-    if failed is None:
-        try:
-            lam, _ = topological_growth(eigen, BundleSelector(foliation))
-            chi = float(np.log(abs(lam)))
-            chi_prov = "exact-homology"
-            preflights["homology"] = {"lambda_W": float(lam), "simple": True,
-                                      "passed": True}
-        except NonSimpleTopEigenvalue as e:
-            preflights["homology"] = {"error": str(e), "passed": False}
-            failed = "homology"
-
-    measurement = None
     lam_est = lam_se = gap = None
-    if failed is None:
-        try:
-            measurement = support_gap(map_, mc["samples"], seed=mc["seed"],
-                                      threads=threads)
-        except _DOMAIN_ERRORS as e:
-            preflights["rejections"] = {"error": str(e), "passed": False}
-            failed = "rejections"
-        if measurement is not None:
-            rate = measurement["rejected"] / measurement["N"]
-            rej_ok = rate <= _REJECT_RATE_LIMIT
-            preflights["rejections"] = {"rate": float(rate),
-                                        "limit": _REJECT_RATE_LIMIT,
-                                        "passed": rej_ok}
-            if not rej_ok:
-                failed = "rejections"
-            else:
-                gap = measurement["estimate"]
-                lam_se = measurement["stderr"]
-                lam_est = chi + gap
-
     if failed is not None:
         verdict = INCONCLUSIVE
-    elif gap > det["significance"] * lam_se + det["gap_floor"]:
-        verdict = NON_ABSOLUTELY_CONTINUOUS
     else:
-        verdict = CONSISTENT_WITH_AC
+        gap = measurement["estimate"]
+        lam_se = measurement["stderr"]
+        lam_est = chi + gap
+        if gap > det["significance"] * lam_se + det["gap_floor"]:
+            verdict = NON_ABSOLUTELY_CONTINUOUS
+        else:
+            verdict = CONSISTENT_WITH_AC
 
     return {
         "foliation": list(foliation),
         "chi": chi,
-        "chi_provenance": chi_prov,
+        "chi_provenance": None if chi is None else "exact-homology",
         "lambda_estimate": lam_est,
         "lambda_stderr": lam_se,
         "gap": gap,

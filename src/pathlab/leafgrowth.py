@@ -322,20 +322,12 @@ def chi_estimate(records) -> dict:
     if np.any(vols <= 0.0):
         raise ValueError("volumes must be positive")
     lnv = np.log(vols)
-    ratios = np.full(len(rows), np.nan)
-    ratios[1:] = np.diff(lnv) / np.diff(ns)
     slope, intercept = np.polyfit(ns, lnv, 1)
     residuals = lnv - (slope * ns + intercept)
-    table = [
-        {"n": int(ns[i]), "volume": float(vols[i]), "ln_volume": float(lnv[i]),
-         "ratio": float(ratios[i])}
-        for i in range(len(rows))
-    ]
     return {
-        "ratio_estimate": float(ratios[-1]),
+        "ratio_estimate": float((lnv[-1] - lnv[-2]) / (ns[-1] - ns[-2])),
         "regression_estimate": float(slope),
         "residuals": [float(r) for r in residuals],
-        "table": table,
     }
 
 

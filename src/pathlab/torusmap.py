@@ -529,6 +529,7 @@ class TorusMap:
         if not isinstance(rot_specs, list):
             raise ValueError("'rotations' must be a list")
         rotations = []
+        eig = None
         if rot_specs:
             eig = eigen_real(linear)
             for k, rs in enumerate(rot_specs):
@@ -546,4 +547,6 @@ class TorusMap:
                         eig, rs["center"], rs["plane"], rs["rho"], rs["theta_max"]
                     )
                 )
-        return cls(linear, rotations)
+        map_ = cls(linear, rotations)
+        map_._eigen = eig
+        return map_

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathlab import bundles, experiments, lyapunov
+from pathlab import bundles, cli, experiments, lyapunov, torusmap
+from pathlab.bundles import NoGap
 from pathlab.cli import main
 from pathlab.config import ConfigError, ExperimentConfig
 from pathlab.experiments import (
@@ -26,6 +27,7 @@ from pathlab.experiments import (
     cmd_growth,
     cmd_sweep,
 )
+from pathlab.homology import NonSimpleTopEigenvalue
 from pathlab.lyapunov import DegenerateFrame
 
 CAT = [[2, 1], [1, 1]]
@@ -107,6 +109,22 @@ def test_map_errors_become_config_errors():
     cfg = ExperimentConfig.from_dict({"map": {"linear": [[2, 1], [1, 2]]}})
     with pytest.raises(ConfigError, match="config.map"):
         cfg.build_map()
+
+
+def test_build_map_keeps_the_eigen_data_of_its_rotations(monkeypatch):
+    # the rotations are built in the eigen chart of the linear part; the
+    # map keeps that data instead of computing it again on first use
+    calls = []
+    real = torusmap.eigen_real
+
+    def counted(linear):
+        calls.append(linear)
+        return real(linear)
+
+    monkeypatch.setattr(torusmap, "eigen_real", counted)
+    map_ = ExperimentConfig.from_dict(detect_config()).build_map()
+    assert map_.eigen.n == 3
+    assert len(calls) == 1
 
 
 def test_sweep_validation():
@@ -362,17 +380,41 @@ def test_detect_measures_inside_the_support():
         4000 * (3.0 * rep["lambda_stderr"] / rep["gap"]) ** 2)
 
 
-def test_detect_estimator_failure_gates_rejections(monkeypatch):
-    def fail(*args, **kwargs):
-        raise DegenerateFrame("every sample was rejected")
+_DETECT_STAGES = ("volume", "c1", "domination", "closedness", "homology",
+                  "rejections")
 
-    monkeypatch.setattr(experiments, "support_gap", fail)
+
+@pytest.mark.parametrize("stage, attr, outcome", [
+    ("volume", "_VOLUME_TOL", -1.0),
+    ("domination", "domination_check", NoGap("transport did not settle")),
+    ("domination", "domination_check", {"holds": False}),
+    ("closedness", "closedness_condition_check", NoGap("transport did not settle")),
+    ("closedness", "closedness_condition_check", {"holds": False}),
+    ("homology", "topological_growth", NonSimpleTopEigenvalue("|lambda_W| is shared")),
+    ("rejections", "support_gap", DegenerateFrame("every sample was rejected")),
+], ids=["volume", "domination-raises", "domination-fails", "closedness-raises",
+        "closedness-fails", "homology", "rejections"])
+def test_detect_estimator_failure_gates_rejections(monkeypatch, stage, attr, outcome):
+    # each gate fails in turn, by raising a domain error or by its own test;
+    # the run stops at that gate with every earlier one passed
+    def stub(*args, **kwargs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(experiments, attr,
+                        outcome if isinstance(outcome, float) else stub)
     rep = cmd_detect(ExperimentConfig.from_dict(detect_config()))
     assert rep["verdict"] == "INCONCLUSIVE"
-    assert rep["failed_stage"] == "rejections"
-    assert rep["preflights"]["rejections"]["passed"] is False
-    assert "every sample" in rep["preflights"]["rejections"]["error"]
+    assert rep["failed_stage"] == stage
     assert rep["measurement"] is None and rep["gap"] is None
+    ran = list(rep["preflights"])
+    assert ran == list(_DETECT_STAGES[:_DETECT_STAGES.index(stage) + 1])
+    assert rep["preflights"][stage]["passed"] is False
+    if isinstance(outcome, Exception):
+        assert rep["preflights"][stage]["error"] == str(outcome)
+    # c1 records no gate
+    assert all(rep["preflights"][s].get("passed", True) is True for s in ran[:-1])
 
 
 def test_detect_rejects_overlapping_supports():
@@ -579,28 +621,35 @@ def test_cli_detect_headline_shows_z(tmp_path, capsys):
     assert "verdict CONSISTENT_WITH_AC (z = null);" in capsys.readouterr().out
 
 
-def test_cli_threads_env_fallback(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, detect_config(samples=800))
-    monkeypatch.setenv("PATHLAB_THREADS", "2")
-    assert main(["detect", "--config", cfg_path,
-                 "--out", str(tmp_path / "o")]) == 0
-    monkeypatch.setenv("PATHLAB_THREADS", "two")
-    assert main(["detect", "--config", cfg_path,
-                 "--out", str(tmp_path / "o2")]) == 2
+def test_cli_dispatch_calls_the_commands_by_name(tmp_path, monkeypatch):
+    # the benchmark's tracer rebinds cli's module-level cmd_* names; main
+    # must call through those names, not through function objects it holds
+    calls = {}
+
+    def counted(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(kwargs)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("cmd_analyze", "cmd_detect"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["analyze", "--config", write_config(tmp_path, {"map": {"linear": CAT}}),
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["detect", "--config", write_config(tmp_path, detect_config(samples=300)),
+                 "--out", str(tmp_path / "d"), "--threads", "2"]) == 0
+    assert calls == {"cmd_analyze": [{}], "cmd_detect": [{"threads": 2}]}
 
 
-def test_cli_thread_count_below_one_rejected(tmp_path, monkeypatch, capsys):
+def test_cli_thread_count_below_one_rejected(tmp_path, capsys):
     cfg_path = write_config(tmp_path, detect_config(samples=800))
     out = str(tmp_path / "o")
     for count in ("0", "-2"):
-        monkeypatch.delenv("PATHLAB_THREADS", raising=False)
         assert main(["detect", "--config", cfg_path, "--out", out,
                      "--threads", count]) == 2
         assert (f"--threads: must be at least 1, got {count}"
-                in capsys.readouterr().err)
-        monkeypatch.setenv("PATHLAB_THREADS", count)
-        assert main(["detect", "--config", cfg_path, "--out", out]) == 2
-        assert (f"PATHLAB_THREADS: must be at least 1, got {count}"
                 in capsys.readouterr().err)
     assert not os.path.exists(out)
 

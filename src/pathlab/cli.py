@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig
 from .experiments import (
@@ -50,9 +49,7 @@ def _parser():
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the Monte Carlo seed")
+        sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker threads, at least 1 (default 1)")
     return p
@@ -66,12 +63,7 @@ def _load(args):
         raise ConfigError(f"config: cannot read {args.config}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON at line {e.lineno}: {e.msg}")
-    cfg = ExperimentConfig.from_dict(raw)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed: must be non-negative")
-        cfg = replace(cfg, mc={**cfg.mc, "seed": args.seed})
-    return raw, cfg
+    return raw, ExperimentConfig.from_dict(raw)
 
 
 def _sel_label(indices):
@@ -137,9 +129,6 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         raw, cfg = _load(args)
-        out = args.out or cfg.out
-        if out is None:
-            raise ConfigError("output directory required (--out or config.out)")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -158,14 +147,14 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
 
-    ensure_dir(out)
-    write_report(os.path.join(out, f"{args.command}.json"), report)
-    append_run(os.path.join(out, "runs.jsonl"),
+    ensure_dir(args.out)
+    write_report(os.path.join(args.out, f"{args.command}.json"), report)
+    append_run(os.path.join(args.out, "runs.jsonl"),
                {"command": args.command, "config_digest": config_digest(raw),
                 "seed": cfg.mc["seed"], "report": report})
     header, rows = _csv_table(args.command, report)
-    write_csv(os.path.join(out, csv_name), header, rows)
-    print(f"{args.command}: {_headline(args.command, report)}; reports in {out}")
+    write_csv(os.path.join(args.out, csv_name), header, rows)
+    print(f"{args.command}: {_headline(args.command, report)}; reports in {args.out}")
 
     if args.command == "detect" and report["failed_stage"] is not None:
         return 3

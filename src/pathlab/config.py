@@ -27,33 +27,27 @@ def _reject_unknown(obj, path, allowed):
         raise ConfigError(f"{path}: unknown keys {unknown}")
 
 
-def _int_field(obj, key, path, default, lo=None, hi=None):
+def _int_field(obj, key, path, default, lo):
     if key not in obj:
         return default
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: must be an integer")
-    if lo is not None and v < lo:
+    if v < lo:
         raise ConfigError(f"{path}.{key}: must be at least {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}.{key}: must be at most {hi}, got {v}")
     return v
 
 
-def _float_field(obj, key, path, default, lo=None, hi=None, lo_open=False):
-    if key not in obj:
-        return default
+def _float_field(obj, key, path):
+    """The required number obj[key], finite and greater than 0."""
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: must be a number")
     v = float(v)
     if not math.isfinite(v):
         raise ConfigError(f"{path}.{key}: must be finite")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        bound = "greater than" if lo_open else "at least"
-        raise ConfigError(f"{path}.{key}: must be {bound} {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}.{key}: must be at most {hi}, got {v}")
+    if v <= 0.0:
+        raise ConfigError(f"{path}.{key}: must be greater than 0.0, got {v}")
     return v
 
 
@@ -90,23 +84,14 @@ def _selector(value, path, n=None):
     return tuple(out)
 
 
-_TOP_KEYS = ("map", "selector", "leaf", "mc", "detect", "sweep", "exponents", "out")
+_TOP_KEYS = ("map", "selector", "leaf", "mc", "detect", "sweep", "exponents")
 
-# each numeric section's keys: default, integer or float, lower bound, and
-# whether that bound is open
+# each numeric section's integer keys: default and lower bound
 _SECTIONS = {
-    "mc": {"samples": (200000, int, 1, False), "seed": (0, int, 0, False)},
-    "detect": {
-        "significance": (3.0, float, 0.0, True),
-        "gap_floor": (1e-9, float, 0.0, False),
-        "preflight_samples": (200, int, 1, False),
-        "c1_samples": (10000, int, 1, False),
-    },
-    "exponents": {
-        "qr_steps": (2000, int, 1, False),
-        "spectrum_points": (3, int, 1, False),
-        "orbit": (1000000, int, 1, False),
-    },
+    "mc": {"samples": (200000, 1), "seed": (0, 0)},
+    "detect": {"preflight_samples": (200, 1), "c1_samples": (10000, 1)},
+    "exponents": {"qr_steps": (2000, 1), "spectrum_points": (3, 1),
+                  "orbit": (1000000, 1)},
 }
 
 
@@ -116,13 +101,8 @@ def _section(raw, name):
     path = f"config.{name}"
     obj = _expect_object(raw.get(name, {}), path)
     _reject_unknown(obj, path, keys)
-    out = {}
-    for key, (default, kind, lo, lo_open) in keys.items():
-        if kind is int:
-            out[key] = _int_field(obj, key, path, default, lo=lo)
-        else:
-            out[key] = _float_field(obj, key, path, default, lo=lo, lo_open=lo_open)
-    return out
+    return {key: _int_field(obj, key, path, default, lo)
+            for key, (default, lo) in keys.items()}
 
 
 @dataclass(frozen=True)
@@ -141,7 +121,6 @@ class ExperimentConfig:
     detect: dict
     sweep: dict | None
     exponents: dict
-    out: str | None
 
     def build_map(self) -> TorusMap:
         try:
@@ -177,7 +156,7 @@ class ExperimentConfig:
         sweep = None
         if "sweep" in raw:
             obj = _expect_object(raw["sweep"], "config.sweep")
-            _reject_unknown(obj, "config.sweep", ("theta_max", "rho", "center", "plane"))
+            _reject_unknown(obj, "config.sweep", ("theta_max", "rho", "center"))
             if "theta_max" not in obj or "rho" not in obj:
                 raise ConfigError("config.sweep: needs theta_max and rho arrays")
             thetas = _vector(obj["theta_max"], "config.sweep.theta_max")
@@ -192,27 +171,11 @@ class ExperimentConfig:
             if "center" not in obj:
                 raise ConfigError("config.sweep.center: required")
             center = _vector(obj["center"], "config.sweep.center", length=n)
-            plane = (2, 1)
-            if "plane" in obj:
-                p = obj["plane"]
-                if (not isinstance(p, list) or len(p) != 2
-                        or any(isinstance(x, bool) or not isinstance(x, int) for x in p)):
-                    raise ConfigError("config.sweep.plane: must be two integers")
-                if set(p) != {1, 2}:
-                    raise ConfigError(
-                        "config.sweep.plane: the detector measures the weak-unstable "
-                        "foliation, rotations must mix eigen-directions 1 and 2")
-                plane = (p[0], p[1])
-            sweep = {"theta_max": thetas, "rho": rhos, "center": center,
-                     "plane": plane}
+            sweep = {"theta_max": thetas, "rho": rhos, "center": center}
 
         exponents = _section(raw, "exponents")
-        out = raw.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("config.out: must be a path string")
-
         return cls(map_spec=map_spec, selector=selector, leaf=leaf, mc=mc,
-                   detect=detect, sweep=sweep, exponents=exponents, out=out)
+                   detect=detect, sweep=sweep, exponents=exponents)
 
     @staticmethod
     def _leaf(value, n):
@@ -232,13 +195,13 @@ class ExperimentConfig:
             if not 0.0 < r <= 0.01:
                 raise ConfigError(
                     f"config.leaf.radii[{i}]: must lie in (0, 0.01], got {r}")
-        delta = _float_field(obj, "delta", "config.leaf", None, lo=0.0, lo_open=True)
+        delta = _float_field(obj, "delta", "config.leaf")
         if delta >= min(radii):
             raise ConfigError(
                 f"config.leaf.delta: must be smaller than the smallest radius "
                 f"{min(radii)}, got {delta}")
-        steps = _int_field(obj, "steps", "config.leaf", None, lo=1)
-        budget = _int_field(obj, "budget", "config.leaf", 2000000, lo=100)
+        steps = _int_field(obj, "steps", "config.leaf", None, 1)
+        budget = _int_field(obj, "budget", "config.leaf", 2000000, 100)
         on_budget = obj.get("on_budget", "flag")
         if on_budget not in ("flag", "raise"):
             raise ConfigError(

@@ -61,6 +61,14 @@ _DOMAIN_ERRORS = (NoGap, IllConditionedIntersection, DegenerateFrame)
 _CLOSEDNESS_STEPS = 4
 _VOLUME_TOL = 1e-9
 
+# the verdict's gate: a gap above _SIGNIFICANCE stderrs plus _GAP_FLOOR
+_SIGNIFICANCE = 3.0
+_GAP_FLOOR = 1e-9
+
+# the chart plane of every sweep cell's rotation; the detector needs it to
+# mix eigen-directions 1 and 2
+_SWEEP_PLANE = (2, 1)
+
 
 def _log_moduli(values):
     return [float(np.log(abs(v))) for v in values]
@@ -409,7 +417,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
         gap = measurement["estimate"]
         lam_se = measurement["stderr"]
         lam_est = chi + gap
-        if gap > det["significance"] * lam_se + det["gap_floor"]:
+        if gap > _SIGNIFICANCE * lam_se + _GAP_FLOOR:
             verdict = NON_ABSOLUTELY_CONTINUOUS
         else:
             verdict = CONSISTENT_WITH_AC
@@ -422,8 +430,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
         "lambda_stderr": lam_se,
         "gap": gap,
         "verdict": verdict,
-        "thresholds": {"significance": det["significance"],
-                       "gap_floor": det["gap_floor"]},
+        "thresholds": {"significance": _SIGNIFICANCE, "gap_floor": _GAP_FLOOR},
         "preflights": preflights,
         "failed_stage": failed,
         **_significance(gap, lam_se, mc["samples"]),
@@ -453,7 +460,7 @@ def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
             rotations = []
             if theta > 0.0:
                 rotations = [{"center": sw["center"],
-                              "plane": list(sw["plane"]),
+                              "plane": list(_SWEEP_PLANE),
                               "rho": float(rho), "theta_max": float(theta)}]
             spec = {"linear": config.map_spec["linear"],
                     "rotations": rotations}
@@ -476,6 +483,6 @@ def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
         "grid": {"theta_max": [float(t) for t in sw["theta_max"]],
                  "rho": [float(r) for r in sw["rho"]],
                  "center": [float(c) for c in sw["center"]],
-                 "plane": list(sw["plane"])},
+                 "plane": list(_SWEEP_PLANE)},
         "cells": cells,
     }

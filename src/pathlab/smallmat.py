@@ -23,7 +23,8 @@ class NonRealSpectrum(ValueError):
 
 
 class DegenerateSpectrum(ValueError):
-    """Raised when two eigenvalues coincide within tolerance."""
+    """Raised when two eigenvalues coincide within tolerance, or when an
+    integer matrix has a repeated eigenvalue."""
 
 
 def _as_int_rows(a):
@@ -154,12 +155,30 @@ class EigenData:
         return len(self.values)
 
 
-def eigen_real(a, tol: float = 1e-10) -> EigenData:
+# eigen_real's relative tolerance: on imaginary parts, eigenvalue spacing and
+# residuals, each against ||A||
+_EIGEN_TOL = 1e-10
+
+
+def _has_repeated_root(p) -> bool:
+    """Whether the integer polynomial p (coefficients descending) has a
+    repeated root: exactly when the Sylvester determinant of p and p' is 0."""
+    n = len(p) - 1
+    dp = [c * (n - i) for i, c in enumerate(p[:-1])]
+    rows = [[0] * i + p + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + dp + [0] * (n - 1 - i) for i in range(n)]
+    return int_det(rows) == 0
+
+
+def eigen_real(a) -> EigenData:
     """Eigen decomposition restricted to the real simple case.
 
     Raises NonRealSpectrum for complex pairs and DegenerateSpectrum when two
-    eigenvalues coincide within tol * ||A||. Residuals ||Av - lambda v|| are
-    checked against the same scale.
+    eigenvalues coincide within _EIGEN_TOL * ||A||, or, for an integer
+    matrix, when its characteristic polynomial has a repeated root: a
+    defective eigenvalue can come back from LAPACK as two values about
+    sqrt(eps) apart. Residuals ||Av - lambda v|| are checked against the
+    same scale.
     """
     if isinstance(a, UnimodularMatrix):
         a = a.as_float()
@@ -170,15 +189,20 @@ def eigen_real(a, tol: float = 1e-10) -> EigenData:
     scale = float(np.linalg.norm(arr, 2))
     scale = max(scale, 1e-300)
     w, v = np.linalg.eig(arr)
-    if np.max(np.abs(w.imag)) > tol * scale:
+    if np.max(np.abs(w.imag)) > _EIGEN_TOL * scale:
         raise NonRealSpectrum(f"complex eigenvalues detected: {w}")
     values = w.real
     order = np.lexsort((-values, -np.abs(values)))
     values = values[order]
     vectors = v.real[:, order]
     gaps = np.abs(values[:, None] - values[None, :]) + np.eye(n) * scale
-    if gaps.min() < tol * scale:
+    if gaps.min() < _EIGEN_TOL * scale:
         raise DegenerateSpectrum(f"eigenvalue spacing below tolerance: {values}")
+    if np.all(arr == np.round(arr)):
+        poly = char_poly(arr)
+        if _has_repeated_root(poly):
+            raise DegenerateSpectrum(
+                f"characteristic polynomial {poly} has a repeated root")
     out = np.empty_like(vectors)
     residuals = np.empty(n)
     for j in range(n):
@@ -188,7 +212,7 @@ def eigen_real(a, tol: float = 1e-10) -> EigenData:
             col = -col
         out[:, j] = col
         residuals[j] = np.linalg.norm(arr @ col - values[j] * col)
-    if residuals.max() > tol * scale:
+    if residuals.max() > _EIGEN_TOL * scale:
         raise ValueError(f"eigen residual {residuals.max():.3e} exceeds contract")
     return EigenData(values=values, vectors=out, residuals=residuals)
 

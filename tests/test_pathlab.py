@@ -2,6 +2,7 @@
 cross-thread byte determinism."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -78,6 +79,16 @@ def test_unknown_keys_rejected_with_dotted_path():
                                     "mc": {"nsamples": 5}})
     with pytest.raises(ConfigError, match=r"config: unknown keys"):
         ExperimentConfig.from_dict({"map": {"linear": CAT}, "extra": 1})
+    # the output directory is --out alone, and every sweep cell rotates in
+    # the plane (2, 1)
+    with pytest.raises(ConfigError, match=re.escape("config: unknown keys ['out']")):
+        ExperimentConfig.from_dict({"map": {"linear": CAT}, "out": "o"})
+    with pytest.raises(ConfigError,
+                       match=re.escape("config.sweep: unknown keys ['plane']")):
+        ExperimentConfig.from_dict({
+            "map": {"linear": COMPANION},
+            "sweep": {"theta_max": [0.5], "rho": [0.1], "center": CENTER,
+                      "plane": [2, 1]}})
 
 
 def test_numeric_ranges_checked():
@@ -132,17 +143,6 @@ def test_sweep_validation():
         ExperimentConfig.from_dict({
             "map": {"linear": COMPANION},
             "sweep": {"theta_max": [0.5], "rho": [0.1]}})
-    with pytest.raises(ConfigError, match=r"config\.sweep\.plane"):
-        ExperimentConfig.from_dict({
-            "map": {"linear": COMPANION},
-            "sweep": {"theta_max": [0.5], "rho": [0.1], "center": CENTER,
-                      "plane": [2, 2]}})
-    # the detector needs rotations mixing eigen-directions 1 and 2
-    with pytest.raises(ConfigError, match=r"config\.sweep\.plane"):
-        ExperimentConfig.from_dict({
-            "map": {"linear": COMPANION},
-            "sweep": {"theta_max": [0.5], "rho": [0.1], "center": CENTER,
-                      "plane": [1, 3]}})
 
 
 def test_fixed_transport_depth_key_rejected(tmp_path, capsys):
@@ -155,7 +155,8 @@ def test_fixed_transport_depth_key_rejected(tmp_path, capsys):
 
 
 def test_removed_detect_knobs_rejected(tmp_path, capsys):
-    for key, value in (("volume_tol", 1e-6), ("closedness_steps", 4)):
+    for key, value in (("volume_tol", 1e-6), ("closedness_steps", 4),
+                       ("significance", 3.0), ("gap_floor", 1e-9)):
         cfg = {"map": {"linear": CAT}, "detect": {key: value}}
         msg = f"config.detect: unknown keys ['{key}']"
         with pytest.raises(ConfigError, match=re.escape(msg)):
@@ -168,8 +169,6 @@ def test_removed_detect_knobs_rejected(tmp_path, capsys):
 def test_config_defaults_filled():
     cfg = ExperimentConfig.from_dict({"map": {"linear": CAT}})
     assert cfg.mc["samples"] == 200000
-    assert cfg.detect["significance"] == 3.0
-    assert cfg.detect["gap_floor"] == 1e-9
     assert cfg.selector == (1,)
     assert cfg.leaf is None
 
@@ -521,10 +520,20 @@ def test_cli_config_error_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_identity_map_exit_3(tmp_path):
+def test_cli_identity_map_exit_3(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"map": {"linear": [[1, 0], [0, 1]]}})
     assert main(["analyze", "--config", cfg_path,
                  "--out", str(tmp_path / "o")]) == 3
+    # a defective eigenvalue -1, which LAPACK splits by 6e-8, is rejected
+    # before any work
+    defective = [[5, 0, -2, 2], [0, 1, 2, -2], [-2, 0, 1, -1], [2, 2, 4, -3]]
+    cfg_path = write_config(tmp_path, {"map": {"linear": defective}})
+    capsys.readouterr()
+    for command in ("analyze", "detect", "exponents"):
+        assert main([command, "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert ("preflight failure: DegenerateSpectrum: "
+                in capsys.readouterr().err)
 
 
 def test_cli_budget_exceeded_exit_4(tmp_path):
@@ -546,22 +555,6 @@ def test_cli_detect_inconclusive_exit_3(tmp_path):
     # the report is still written for inspection
     report = json.loads((out / "detect.json").read_text())
     assert report["verdict"] == "INCONCLUSIVE"
-
-
-def test_cli_seed_override(tmp_path):
-    cfg_path = write_config(tmp_path, detect_config(samples=1000))
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert main(["detect", "--config", cfg_path, "--out", str(a)]) == 0
-    assert main(["detect", "--config", cfg_path, "--out", str(b),
-                 "--seed", "7"]) == 0
-    assert main(["detect", "--config", cfg_path, "--out", str(c),
-                 "--seed", "7"]) == 0
-    ra = json.loads((a / "detect.json").read_text())
-    rb = json.loads((b / "detect.json").read_text())
-    assert ra["measurement"]["seed"] == 0
-    assert rb["measurement"]["seed"] == 7
-    assert ra["lambda_estimate"] != rb["lambda_estimate"]
-    assert (b / "detect.json").read_bytes() == (c / "detect.json").read_bytes()
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
@@ -674,6 +667,25 @@ def test_growth_csv_one_row_per_step(tmp_path):
     lines = (out / "growth_steps.csv").read_text().splitlines()
     n_runs = 2 * 1
     assert len(lines) == 1 + n_runs * (cfg["leaf"]["steps"] + 1)
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # the benchmark's workloads call the CLI with these argument lists; a
+    # flag they pass that the parser no longer has would fail only there.
+    # The module is registered while it runs, as its dataclass needs
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for threads in (None, 2):
+            args = cli._parser().parse_args(
+                workload.argv("cfg.json", "out", threads=threads))
+            assert (args.command, args.config, args.out) == (
+                workload.command, "cfg.json", "out")
+            assert args.threads == (workload.threads if threads is None else threads)
 
 
 def test_benchmark_trace_finds_every_layer():

@@ -239,6 +239,10 @@ def test_eigen_rejects_shear():
     # defective: double eigenvalue 1
     with pytest.raises(DegenerateSpectrum):
         eigen_real([[1, 1], [0, 1]])
+    # defective double eigenvalue -1, char poly (x+1)^2 (x^2 - 6x + 1): LAPACK
+    # returns it as two values 6e-8 apart, above the spacing tolerance
+    with pytest.raises(DegenerateSpectrum, match="repeated root"):
+        eigen_real([[5, 0, -2, 2], [0, 1, 2, -2], [-2, 0, 1, -1], [2, 2, 4, -3]])
 
 
 # ---------------------------------------------------------------- wedge index

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homology import BundleSelector
-from .smallmat import k_volume
+from .smallmat import k_volume, ordered_dot
 
 OK = 0
 STATUS_NOGAP = 1
@@ -75,33 +75,21 @@ def _seed_for(n: int, k: int, direction: int) -> np.ndarray:
     return h[:, :k].copy() if direction > 0 else h[:, ::-1][:, :k].copy()
 
 
-def _norms(cols):
-    # Euclidean norms of (n, ...) component-major vectors, summed in order
-    acc = cols[0] * cols[0]
-    for c in cols[1:]:
-        acc = acc + c * c
-    return np.sqrt(acc)
-
-
 def _orthonormalize_cm(cols):
     """Gram-Schmidt with reorthogonalization on component-major frames
     (n, k, B): every entry is one contiguous length-B row, so each step is
     a long elementwise pass and a sample's floats never depend on B."""
-    n, k, b = cols.shape
+    _, k, b = cols.shape
     q = np.empty_like(cols)
     ok = np.ones(b, dtype=bool)
     for i in range(k):
         col = cols[:, i]
-        scale = _norms(col)
+        scale = np.sqrt(ordered_dot(col, col))
         v = col.copy()
         for _ in range(2):
             for j in range(i):
-                qj = q[:, j]
-                coef = qj[0] * v[0]
-                for c in range(1, n):
-                    coef = coef + qj[c] * v[c]
-                v -= coef * qj
-        norm = _norms(v)
+                v -= ordered_dot(q[:, j], v) * q[:, j]
+        norm = np.sqrt(ordered_dot(v, v))
         bad = ~(norm > 1e-13 * np.maximum(scale, 1e-300))
         ok &= ~bad
         q[:, i] = v / np.where(bad, 1.0, norm)
@@ -116,10 +104,7 @@ def _orthonormalize(frames):
 
 def _times_cm(mat, cols):
     # per-sample mat @ frame, component-major: mat (n, n, B or 1), cols (n, k, B)
-    out = mat[:, 0, None] * cols[None, 0]
-    for j in range(1, cols.shape[0]):
-        out = out + mat[:, j, None] * cols[None, j]
-    return out
+    return ordered_dot(mat.swapaxes(0, 1)[:, :, None], cols[:, None])
 
 
 def _push_cm(lin, hit, jac, cols):

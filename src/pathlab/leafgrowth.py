@@ -231,15 +231,8 @@ def _bisection(params, points, cells, loop, delta):
     marked = lens > delta
     if not np.any(marked):
         return None
-    # closure: a triangle with any marked edge also marks its longest
-    # edge, so every split triangle can be bisected by that edge first
+    # bisect by the longest side first: one threshold marks it if any side is
     longest = np.argmax(lens[tri_edge], axis=1)
-    long_edge = np.take_along_axis(tri_edge, longest[:, None], axis=1)[:, 0]
-    while True:
-        grow = long_edge[marked[tri_edge].any(axis=1) & ~marked[long_edge]]
-        if grow.size == 0:
-            break
-        marked[grow] = True
     split_idx = np.flatnonzero(marked)
     mid_of = np.full(keys.shape[0], -1, dtype=np.int64)
     mid_of[split_idx] = base + np.arange(split_idx.shape[0])

@@ -4,7 +4,8 @@ Everything that feeds topological invariants (determinants, characteristic
 polynomials, exterior powers) is computed in exact integer arithmetic with
 Python ints, so homology data carries no floating-point error. Floating-point
 enters only through the eigen decomposition and k-volumes, which carry explicit
-residual contracts.
+residual contracts, and through ordered_dot, the one fixed-order product of the
+batched float code.
 """
 from __future__ import annotations
 
@@ -18,13 +19,29 @@ MIN_DIM = 2
 MAX_DIM = 8
 
 
-class NonRealSpectrum(ValueError):
+class NonRealSpectrum(RuntimeError):
     """Raised when the spectrum has a complex pair beyond tolerance."""
 
 
-class DegenerateSpectrum(ValueError):
+class DegenerateSpectrum(RuntimeError):
     """Raised when two eigenvalues coincide within tolerance, or when an
     integer matrix has a repeated eigenvalue."""
+
+
+def ordered_dot(a, b):
+    """sum_k a[k] * b[k] over the first axis, left to right, one
+    elementwise pass per term; the terms broadcast.
+
+    Every product whose per-sample floats must not depend on the batch a
+    sample rides in goes through here: BLAS kernels round differently for
+    different batch sizes, and leaf refinement recomputes nodes in batches
+    of varying size. Numpy arrays and sequences of Python floats give the
+    same bits.
+    """
+    acc = a[0] * b[0]
+    for k in range(1, len(a)):
+        acc = acc + a[k] * b[k]
+    return acc
 
 
 def _as_int_rows(a):

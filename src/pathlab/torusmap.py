@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .smallmat import EigenData, UnimodularMatrix, eigen_real
+from .smallmat import EigenData, UnimodularMatrix, eigen_real, ordered_dot
 
 # profile values below exp(1 - 1/eps) are flushed to an exact zero so the
 # derivative formula never evaluates 0 * inf near the support boundary
@@ -53,17 +53,12 @@ def _wrap_half(d):
 
 
 def _apply_matrix(points, mat):
-    # row-wise mat @ p with a fixed accumulation order; BLAS matmul kernels
-    # may round differently for different batch sizes, and leaf refinement
-    # recomputes nodes in batches of varying size expecting identical floats.
-    # One output component at a time keeps every pass over the long batch axis
+    # row-wise mat @ p, one output component at a time, so that every pass
+    # runs over the long batch axis
     cols = [points[..., k] for k in range(mat.shape[1])]
     out = np.empty(points.shape[:-1] + (mat.shape[0],))
     for i, row in enumerate(mat):
-        acc = cols[0] * row[0]
-        for k in range(1, len(cols)):
-            acc = acc + cols[k] * row[k]
-        out[..., i] = acc
+        out[..., i] = ordered_dot(cols, row)
     return out
 
 
@@ -71,13 +66,8 @@ def _chart_radius2(y, center, chart_inv):
     # squared chart radius of one point in Python floats, as locate
     d = [v - c for v, c in zip(y, center)]
     d = [v - math.floor(v + 0.5) for v in d]
-    total = 0.0
-    for row in chart_inv:
-        u = 0.0
-        for m, v in zip(row, d):
-            u += m * v
-        total += u * u
-    return total
+    u = [ordered_dot(row, d) for row in chart_inv]
+    return ordered_dot(u, u)
 
 
 def _finite(v):
@@ -331,7 +321,7 @@ class TorusMap:
         A step whose point lies off every support, with a chart-radius
         margin of 1e-9 relative that covers the scalar rounding, has every
         rotation exactly the identity: it runs in plain Python floats as
-        A y in _apply_matrix's accumulation order, then _mod1. Every other
+        A y by ordered_dot, as in _apply_matrix, then _mod1. Every other
         step goes through apply.
         """
         n = int(n)
@@ -352,9 +342,7 @@ class TorusMap:
                 continue
             z = []
             for row in a:
-                acc = y[0] * row[0]
-                for k in range(1, len(y)):
-                    acc = acc + y[k] * row[k]
+                acc = ordered_dot(y, row)
                 acc = acc - math.floor(acc)
                 # numpy's floor keeps -0.0, and -0.0 - -0.0 is +0.0
                 z.append(0.0 if acc == 1.0 or acc == 0.0 else acc)
@@ -542,11 +530,11 @@ class TorusMap:
                     if key not in rs:
                         raise ValueError(f"rotations[{k}]: missing '{key}'")
                 _check_rotation_spec(k, rs, linear.n)
-                rotations.append(
-                    build_localized_rotation(
-                        eig, rs["center"], rs["plane"], rs["rho"], rs["theta_max"]
-                    )
-                )
+                try:
+                    rotations.append(build_localized_rotation(
+                        eig, rs["center"], rs["plane"], rs["rho"], rs["theta_max"]))
+                except ValueError as e:  # SupportTooLarge keeps its type
+                    raise type(e)(f"rotations[{k}]: {e}") from None
         map_ = cls(linear, rotations)
         map_._eigen = eig
         return map_

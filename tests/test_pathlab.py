@@ -187,6 +187,20 @@ def test_rotation_fields_must_be_finite_numbers(key, value):
         ExperimentConfig.from_dict(cfg).build_map()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("plane", [2, 2], "plane must name two distinct eigen indices"),
+    ("rho", 0.45, "2 * rho * |L| = "),
+], ids=["plane", "rho"])
+def test_rotation_builder_errors_name_the_rotation(key, value, message):
+    cfg = detect_config()
+    second = {"center": [0.2, 0.3, 0.4], "plane": [2, 1], "rho": 0.05, "theta_max": 0.5}
+    second[key] = value
+    cfg["map"]["rotations"].append(second)
+    with pytest.raises(ConfigError,
+                       match=rf"^config\.map: rotations\[1\]: {re.escape(message)}"):
+        ExperimentConfig.from_dict(cfg).build_map()
+
+
 def test_cli_nan_rotation_field_exit_2(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(detect_config()).replace('"rho": 0.12', '"rho": NaN'))
@@ -476,7 +490,7 @@ def test_sweep_records_cell_errors_and_continues():
     rep = cmd_sweep(ExperimentConfig.from_dict(cfg))
     assert len(rep["cells"]) == 2
     assert "error" not in rep["cells"][0]
-    assert "SupportTooLarge" in rep["cells"][1]["error"]
+    assert rep["cells"][1]["error"].startswith("SupportTooLarge: rotations[0]: 2 * rho")
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
@@ -527,13 +541,26 @@ def test_cli_identity_map_exit_3(tmp_path, capsys):
     # a defective eigenvalue -1, which LAPACK splits by 6e-8, is rejected
     # before any work
     defective = [[5, 0, -2, 2], [0, 1, 2, -2], [-2, 0, 1, -1], [2, 2, 4, -3]]
-    cfg_path = write_config(tmp_path, {"map": {"linear": defective}})
+    rotation = {"center": CENTER, "plane": [2, 1], "rho": 0.05, "theta_max": 0.5}
     capsys.readouterr()
-    for command in ("analyze", "detect", "exponents"):
-        assert main([command, "--config", cfg_path,
-                     "--out", str(tmp_path / "o")]) == 3
-        assert ("preflight failure: DegenerateSpectrum: "
-                in capsys.readouterr().err)
+    for linear, error in ((defective, "DegenerateSpectrum"),
+                          ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], "DegenerateSpectrum"),
+                          ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], "NonRealSpectrum")):
+        runs = [(command, {"map": {"linear": linear}})
+                for command in ("analyze", "detect", "exponents")]
+        if len(linear) == 3:
+            # the same exit once a rotation is built in the eigen chart,
+            # and a sweep stops on it, with or without a theta_max = 0 row
+            runs += [(command, {"map": {"linear": linear, "rotations": [rotation]}})
+                     for command in ("analyze", "detect", "exponents")]
+            runs += [("sweep", {"map": {"linear": linear},
+                                "sweep": {"theta_max": thetas, "rho": [0.05],
+                                          "center": CENTER}})
+                     for thetas in ([0.5], [0.0, 0.5])]
+        for command, cfg in runs:
+            assert main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+            assert f"preflight failure: {error}: " in capsys.readouterr().err
 
 
 def test_cli_budget_exceeded_exit_4(tmp_path):
@@ -667,6 +694,36 @@ def test_growth_csv_one_row_per_step(tmp_path):
     lines = (out / "growth_steps.csv").read_text().splitlines()
     n_runs = 2 * 1
     assert len(lines) == 1 + n_runs * (cfg["leaf"]["steps"] + 1)
+
+
+def test_cli_cycle_csv_one_row_per_step(tmp_path):
+    cfg = cat_config(leaf={"points": [[0.1, 0.2]], "radii": [0.01],
+                           "delta": 0.005, "steps": 4})
+    out = tmp_path / "out"
+    assert main(["cycle", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    lines = (out / "cycle_steps.csv").read_text().splitlines()
+    assert lines[0] == ("point_index,radius,n,angle_to_v1,dx1_pairing,"
+                        "integer_class,nodes,truncated")
+    assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+def test_cli_sweep_headline_counts_verdicts_and_errors(tmp_path, capsys):
+    cfg = {
+        "map": {"linear": COMPANION},
+        "mc": {"samples": 800, "seed": 0},
+        "detect": {"preflight_samples": 40, "c1_samples": 200},
+        "sweep": {"theta_max": [0.4], "rho": [0.12, 0.45], "center": CENTER},
+    }
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "sweep: ERROR x1, NON_ABSOLUTELY_CONTINUOUS x1; ")
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].startswith("theta_max,rho,verdict")
+    assert len(lines) == 3
 
 
 def test_benchmark_command_lines_parse(monkeypatch):

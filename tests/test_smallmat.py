@@ -5,6 +5,8 @@ implementation: cofactor-expansion determinants, bisection root finding on the
 characteristic polynomial, and cross-product volumes.
 """
 import math
+import operator
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +25,7 @@ from pathlab.smallmat import (
     exterior_power,
     int_det,
     k_volume,
+    ordered_dot,
 )
 
 CAT = [[2, 1], [1, 1]]
@@ -379,3 +382,27 @@ def test_k_volume_ratio_basis_independent():
         r1 = k_volume(a @ frame) / k_volume(frame)
         r2 = k_volume(a @ frame @ mix) / k_volume(frame @ mix)
         assert abs(r1 - r2) <= 1e-10 * r1
+
+
+# ---------------------------------------------------------------- ordered_dot
+
+@given(st.integers(1, 8), st.integers(1, 30), st.data())
+@settings(max_examples=40, deadline=None)
+def test_ordered_dot_rows_do_not_depend_on_the_batch(n, batch, data):
+    # a row gets the bits it gets alone, in any sub-batch, and Python
+    # floats get the float64 bits of the left-to-right sum
+    num = st.floats(-1e6, 1e6, allow_nan=False)
+    col = st.lists(num, min_size=batch, max_size=batch)
+    a = np.array(data.draw(st.lists(col, min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(col, min_size=n, max_size=n)))
+    whole = ordered_dot(a, b)
+    lo = data.draw(st.integers(0, batch - 1))
+    hi = data.draw(st.integers(lo + 1, batch))
+    assert whole[lo:hi].tobytes() == ordered_dot(a[:, lo:hi], b[:, lo:hi]).tobytes()
+    for i in range(batch):
+        x, y = a[:, i].tolist(), b[:, i].tolist()
+        alone = ordered_dot(x, y)
+        assert isinstance(alone, float)
+        assert np.float64(alone).tobytes() == whole[i].tobytes()
+        left_to_right = reduce(operator.add, map(operator.mul, x, y))
+        assert np.float64(alone).tobytes() == np.float64(left_to_right).tobytes()

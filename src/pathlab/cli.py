@@ -22,7 +22,7 @@ from .experiments import (
     cmd_sweep,
 )
 from .leafgrowth import BadRadius, BudgetExceeded
-from .reporting import append_run, config_digest, ensure_dir, write_csv, write_report
+from .reporting import append_run, config_digest, write_csv, write_report
 from .smallmat import DegenerateSpectrum, NonRealSpectrum
 
 # each command's CSV table, and whether it takes a thread count. main calls
@@ -64,6 +64,16 @@ def _load(args):
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON at line {e.lineno}: {e.msg}")
     return raw, ExperimentConfig.from_dict(raw)
+
+
+def _check_out(path):
+    # the run's reports are written after the run: an --out that cannot
+    # become a directory fails first
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out: {probe} exists and is not a directory")
 
 
 def _sel_label(indices):
@@ -129,6 +139,7 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         raw, cfg = _load(args)
+        _check_out(args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -147,7 +158,11 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
 
-    ensure_dir(args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        print(f"config error: --out: {e}", file=sys.stderr)
+        return 2
     write_report(os.path.join(args.out, f"{args.command}.json"), report)
     append_run(os.path.join(args.out, "runs.jsonl"),
                {"command": args.command, "config_digest": config_digest(raw),

@@ -15,6 +15,13 @@ class ConfigError(ValueError):
     """Raised for malformed or out-of-range configuration input."""
 
 
+def map_error(message):
+    """A ConfigError about config.map. A message that starts with a
+    rotation's path, rotations[k], continues the dotted path."""
+    sep = "." if message.startswith("rotations[") else ": "
+    return ConfigError(f"config.map{sep}{message}")
+
+
 def _expect_object(value, path):
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: must be an object")
@@ -89,7 +96,7 @@ _TOP_KEYS = ("map", "selector", "leaf", "mc", "detect", "sweep", "exponents")
 # each numeric section's integer keys: default and lower bound
 _SECTIONS = {
     "mc": {"samples": (200000, 1), "seed": (0, 0)},
-    "detect": {"preflight_samples": (200, 1), "c1_samples": (10000, 1)},
+    "detect": {"preflight_samples": (200, 1)},
     "exponents": {"qr_steps": (2000, 1), "spectrum_points": (3, 1),
                   "orbit": (1000000, 1)},
 }
@@ -128,7 +135,7 @@ class ExperimentConfig:
         except ConfigError:
             raise
         except ValueError as e:
-            raise ConfigError(f"config.map: {e}") from e
+            raise map_error(str(e)) from e
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":

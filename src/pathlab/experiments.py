@@ -19,7 +19,7 @@ from .bundles import (
     selector_block,
     strongest_subbundle,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, map_error
 from .homology import (
     BundleSelector,
     NonSimpleTopEigenvalue,
@@ -316,21 +316,21 @@ def _detect_prechecks(map_):
     if bad is None:
         return
     if bad[0] == "dimension":
-        raise ConfigError(
-            "config.map: the detector needs at least two expanding "
+        raise map_error(
+            "the detector needs at least two expanding "
             "eigen-directions over a contracting one, so dimension >= 3")
     if bad[0] == "lambda_2":
-        raise ConfigError(
-            "config.map: the second eigen-direction must expand for the "
+        raise map_error(
+            "the second eigen-direction must expand for the "
             "weak-unstable foliation to exist")
     if bad[0] == "plane":
-        raise ConfigError(
-            f"config.map.rotations[{bad[1]}].plane: the detector measures "
+        raise map_error(
+            f"rotations[{bad[1]}].plane: the detector measures "
             "the weak-unstable foliation, rotations must mix "
             "eigen-directions 1 and 2")
     _, i, j = bad
-    raise ConfigError(
-        f"config.map.rotations[{j}]: support overlaps the support of "
+    raise map_error(
+        f"rotations[{j}]: support overlaps the support of "
         f"rotations[{i}] on the torus; the detector samples each "
         "support separately and needs them disjoint")
 
@@ -368,10 +368,6 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
         return {"max_abs_det_minus_1": err, "tol": _VOLUME_TOL,
                 "passed": err <= _VOLUME_TOL}
 
-    def c1():
-        return map_.c1_distance_estimate(samples=det["c1_samples"],
-                                         seed=mc["seed"] + 12)
-
     def domination():
         dom = domination_check(map_, samples=det["preflight_samples"],
                                seed=mc["seed"] + 13)
@@ -399,7 +395,7 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
 
     preflights = {}
     failed = None
-    for name, stage in (("volume", volume), ("c1", c1),
+    for name, stage in (("volume", volume), ("c1", map_.c1_distance),
                         ("domination", domination), ("closedness", closedness),
                         ("homology", homology), ("rejections", rejections)):
         try:

@@ -10,7 +10,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 
 
 def clean(obj):
@@ -60,8 +59,3 @@ def write_csv(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([_cell(v) for v in row])
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

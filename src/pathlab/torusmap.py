@@ -475,25 +475,31 @@ class TorusMap:
         mask[self._locate(pts)[0]] = True
         return mask[0] if scalar else mask
 
-    def c1_distance_estimate(self, samples: int = 10000, seed: int = 0) -> dict:
-        """Sampled estimate of the C1 distance to the linear part.
+    def c1_distance(self) -> dict:
+        """C0 and C1 distances of f to its linear part A, read off each
+        rotation's radial profile psi(r); the maximum over rotations.
 
-        This is an estimate, not a certified bound; support_sampled reports
-        whether any sample actually landed in a rotation support.
+        With M = A L[:, (i, j)], P the plane's embedding and J the quarter
+        turn, f - A = M (R(psi) - I)(u_i, u_j): c0_max = |M| max 2r|sin(psi/2)|
+        is the supremum, reached with u in the plane. Df - A = M [(R - I)
+        P^T L^-1 + (psi'/r) R J (u_i, u_j) (L^-T u)^T] is bounded above by
+        c1_op_bound = |M| max (2|sin(psi/2)| |P^T L^-1| + |psi'| r |L^-1|).
+        Both maxima run over 4096 midpoint radii. The caller guarantees
+        disjoint supports, as overlapping rotations compose; the detector
+        checks it. A linear map gives zeros.
         """
-        pts = self.sample_uniform(samples, seed)
-        fx = self.apply(pts)
-        lin = _mod1(_apply_matrix(pts, self._a))
-        d0 = np.linalg.norm(_wrap_half(fx - lin), axis=-1)
-        diff = self.differential(pts) - self._a
-        dop = np.linalg.svd(diff, compute_uv=False)[:, 0]
-        return {
-            "estimate": float(np.max(d0 + dop)),
-            "c0_max": float(np.max(d0)),
-            "c1_op_max": float(np.max(dop)),
-            "samples": int(samples),
-            "support_sampled": bool(np.any(self.support_mask(pts))),
-        }
+        c0 = c1 = 0.0
+        for rot in self.rotations:
+            r = rot.rho * (np.arange(4096) + 0.5) / 4096
+            psi, dpsi = bump_profile(r, rot.rho, rot.theta_max)
+            turn = 2.0 * np.abs(np.sin(psi / 2.0))
+            plane = list(rot.plane)
+            m = np.linalg.norm(self._a @ rot.chart[:, plane], 2)
+            rows = np.linalg.norm(rot.chart_inv[plane], 2)
+            inv = np.linalg.norm(rot.chart_inv, 2)
+            c0 = max(c0, float(m * np.max(turn * r)))
+            c1 = max(c1, float(m * np.max(turn * rows + np.abs(dpsi) * r * inv)))
+        return {"c0_max": c0, "c1_op_bound": c1, "bound": c0 + c1}
 
     # ---------------------------------------------------------- serialization
 
@@ -522,7 +528,7 @@ class TorusMap:
             eig = eigen_real(linear)
             for k, rs in enumerate(rot_specs):
                 if not isinstance(rs, dict):
-                    raise ValueError(f"rotations[{k}] must be an object")
+                    raise ValueError(f"rotations[{k}]: must be an object")
                 unknown = set(rs) - {"center", "plane", "rho", "theta_max"}
                 if unknown:
                     raise ValueError(f"rotations[{k}]: unknown keys {sorted(unknown)}")

@@ -60,7 +60,7 @@ def detect_config(theta=0.5, samples=4000):
     return {
         "map": {"linear": COMPANION, "rotations": rotations},
         "mc": {"samples": samples, "seed": 0},
-        "detect": {"preflight_samples": 100, "c1_samples": 2000},
+        "detect": {"preflight_samples": 100},
     }
 
 
@@ -156,7 +156,7 @@ def test_fixed_transport_depth_key_rejected(tmp_path, capsys):
 
 def test_removed_detect_knobs_rejected(tmp_path, capsys):
     for key, value in (("volume_tol", 1e-6), ("closedness_steps", 4),
-                       ("significance", 3.0), ("gap_floor", 1e-9)):
+                       ("significance", 3.0), ("gap_floor", 1e-9), ("c1_samples", 10)):
         cfg = {"map": {"linear": CAT}, "detect": {key: value}}
         msg = f"config.detect: unknown keys ['{key}']"
         with pytest.raises(ConfigError, match=re.escape(msg)):
@@ -183,7 +183,7 @@ def test_config_defaults_filled():
 def test_rotation_fields_must_be_finite_numbers(key, value):
     cfg = detect_config()
     cfg["map"]["rotations"][0][key] = value
-    with pytest.raises(ConfigError, match=rf"^config\.map: rotations\[0\]\.{key}: "):
+    with pytest.raises(ConfigError, match=rf"^config\.map\.rotations\[0\]\.{key}: "):
         ExperimentConfig.from_dict(cfg).build_map()
 
 
@@ -197,7 +197,7 @@ def test_rotation_builder_errors_name_the_rotation(key, value, message):
     second[key] = value
     cfg["map"]["rotations"].append(second)
     with pytest.raises(ConfigError,
-                       match=rf"^config\.map: rotations\[1\]: {re.escape(message)}"):
+                       match=rf"^config\.map\.rotations\[1\]: {re.escape(message)}"):
         ExperimentConfig.from_dict(cfg).build_map()
 
 
@@ -206,7 +206,7 @@ def test_cli_nan_rotation_field_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(detect_config()).replace('"rho": 0.12', '"rho": NaN'))
     assert "NaN" in path.read_text()
     assert main(["detect", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "config error: config.map: rotations[0].rho" in capsys.readouterr().err
+    assert "config error: config.map.rotations[0].rho: " in capsys.readouterr().err
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):
@@ -369,6 +369,17 @@ def test_detect_pipeline_fields_and_gate():
     assert rep["measurement"]["N"] == 4000
 
 
+def test_detect_c1_preflight_does_not_depend_on_the_seed():
+    reps = []
+    for seed in (0, 1):
+        cfg = detect_config(samples=300)
+        cfg["mc"]["seed"] = seed
+        reps.append(cmd_detect(ExperimentConfig.from_dict(cfg))["preflights"]["c1"])
+    assert reps[0] == reps[1]
+    assert set(reps[0]) == {"c0_max", "c1_op_bound", "bound"}
+    assert reps[0]["c0_max"] > 0.0
+
+
 def test_detect_unperturbed_control_hits_gap_floor():
     rep = cmd_detect(ExperimentConfig.from_dict(detect_config(theta=0)))
     assert rep["verdict"] == CONSISTENT_WITH_AC
@@ -435,7 +446,8 @@ def test_detect_rejects_overlapping_supports():
     shifted = [CENTER[0] + 0.01, CENTER[1], CENTER[2]]
     cfg["map"]["rotations"].append({"center": shifted, "plane": [1, 2],
                                     "rho": 0.05, "theta_max": 0.2})
-    with pytest.raises(ConfigError, match=r"config\.map\.rotations\[1\]: support overlaps"):
+    with pytest.raises(ConfigError,
+                       match=r"^config\.map\.rotations\[1\]: support overlaps the support of rotations\[0\]"):
         cmd_detect(ExperimentConfig.from_dict(cfg))
 
 
@@ -467,7 +479,7 @@ def test_sweep_grid_and_zero_row():
     cfg = {
         "map": {"linear": COMPANION},
         "mc": {"samples": 1500, "seed": 0},
-        "detect": {"preflight_samples": 60, "c1_samples": 500},
+        "detect": {"preflight_samples": 60},
         "sweep": {"theta_max": [0, 0.5], "rho": [0.12], "center": CENTER},
     }
     rep = cmd_sweep(ExperimentConfig.from_dict(cfg))
@@ -483,7 +495,7 @@ def test_sweep_records_cell_errors_and_continues():
     cfg = {
         "map": {"linear": COMPANION},
         "mc": {"samples": 800, "seed": 0},
-        "detect": {"preflight_samples": 40, "c1_samples": 200},
+        "detect": {"preflight_samples": 40},
         # second rho is far too large for a chart ball to fit in the torus
         "sweep": {"theta_max": [0.4], "rho": [0.12, 0.45], "center": CENTER},
     }
@@ -502,7 +514,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     cfg = {
         "map": {"linear": COMPANION},
         "mc": {"samples": 800, "seed": 0},
-        "detect": {"preflight_samples": 40, "c1_samples": 200},
+        "detect": {"preflight_samples": 40},
         "sweep": {"theta_max": [0.4], "rho": [0.12], "center": CENTER},
     }
     with pytest.raises(TypeError, match="broken estimator"):
@@ -532,6 +544,28 @@ def test_cli_config_error_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, {"map": {"linear": CAT}, "bogus": 1})
     assert main(["analyze", "--config", cfg_path,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_cli_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, monkeypatch, out):
+    def no_work(config):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(cli, "cmd_analyze", no_work)
+    (tmp_path / "afile").write_text("keep")
+    cfg_path = write_config(tmp_path, {"map": {"linear": CAT}})
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
+def test_cli_out_that_cannot_be_created_exit_2(tmp_path, capsys):
+    # a path component longer than the file system allows
+    cfg_path = write_config(tmp_path, {"map": {"linear": CAT}})
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / ("x" * 300))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and "Traceback" not in err
 
 
 def test_cli_identity_map_exit_3(tmp_path, capsys):
@@ -712,7 +746,7 @@ def test_cli_sweep_headline_counts_verdicts_and_errors(tmp_path, capsys):
     cfg = {
         "map": {"linear": COMPANION},
         "mc": {"samples": 800, "seed": 0},
-        "detect": {"preflight_samples": 40, "c1_samples": 200},
+        "detect": {"preflight_samples": 40},
         "sweep": {"theta_max": [0.4], "rho": [0.12, 0.45], "center": CENTER},
     }
     out = tmp_path / "out"

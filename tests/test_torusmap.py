@@ -24,6 +24,8 @@ from pathlab.torusmap import (
 CAT = [[2, 1], [1, 1]]
 COMPANION = [[0, 0, 1], [1, 0, -6], [0, 1, 5]]
 CENTER = [0.31, 0.47, 0.62]
+M4 = [[0, 0, 0, 1], [1, 0, 0, 3], [0, 1, 0, -6], [0, 0, 1, -6]]
+M4_CENTER = [0.3, 0.55, 0.7, 0.45]
 
 
 @pytest.fixture(scope="module")
@@ -278,27 +280,93 @@ def test_apply_range(perturbed_map):
 
 # ------------------------------------------------------------- C1 distance
 
+def _sampled_distances(map_, samples, seed):
+    """Sampled max of |f - A| on the torus and of |Df - A| in operator norm,
+    over in-support points."""
+    pts = map_.sample_support(samples, seed)
+    d0 = np.linalg.norm(_wrap_half(map_.lift_apply(pts) - _apply_matrix(pts, map_._a)), axis=-1)
+    dop = np.linalg.svd(map_.differential(pts) - map_._a, compute_uv=False)[:, 0]
+    return float(d0.max()), float(dop.max())
+
+
+def _one_rotation_map(linear, center, plane, rho, theta_max):
+    a = UnimodularMatrix(linear)
+    return TorusMap(a, [build_localized_rotation(eigen_real(a), center=center, plane=plane,
+                                                 rho=rho, theta_max=theta_max)])
+
+
+BENCH_CENTER = [0.625095466604667, 0.8972138009695755, 0.7756856902451935]
+
+# (linear part, center, plane, rho, theta_max, slack): the benchmark map,
+# its rotation at theta_max 1.5 and 3.0, a 4-D map in both plane orders,
+# and a plane off chart axes {1, 2}, where the c1 bound reads 2.05 times
+# the sampled maximum (1.27 to 1.35 on the others); slack caps that ratio
+C1_MAPS = (
+    (COMPANION, BENCH_CENTER, (2, 1), 0.12, 0.5, 1.5),
+    (COMPANION, BENCH_CENTER, (2, 1), 0.12, 1.5, 1.5),
+    (COMPANION, BENCH_CENTER, (2, 1), 0.12, 3.0, 1.5),
+    (M4, M4_CENTER, (1, 2), 0.1, 0.6, 1.5),
+    (M4, M4_CENTER, (2, 1), 0.1, 0.6, 1.5),
+    (COMPANION, [0.81, 0.97, 0.12], (1, 3), 0.08, 0.7, 2.5),
+)
+
+
+@pytest.mark.parametrize("spec", C1_MAPS,
+                         ids=["bench", "theta1.5", "theta3", "m4-12", "m4-21", "plane13"])
+def test_c1_distance_c0_exact_and_c1_bound_tight(spec):
+    *rotation, slack = spec
+    map_ = _one_rotation_map(*rotation)
+    rep = map_.c1_distance()
+    c0, c1 = _sampled_distances(map_, 100000, 3)
+    # c0 is the supremum itself; c1 an upper bound within slack of the sampled max
+    assert 0.98 * rep["c0_max"] <= c0 <= rep["c0_max"] * (1 + 1e-6)
+    assert c1 <= rep["c1_op_bound"] <= slack * c1
+    assert rep["bound"] == rep["c0_max"] + rep["c1_op_bound"]
+
+
+def test_c1_distance_on_the_benchmark_map():
+    rep = _one_rotation_map(*C1_MAPS[0][:-1]).c1_distance()
+    assert rep["c0_max"] == pytest.approx(0.07683565, abs=1e-7)
+    assert rep["c1_op_bound"] == pytest.approx(21.99, abs=5e-3)
+
+
+@given(st.floats(-3.0, 3.0), st.floats(0.02, 0.12), st.sampled_from([(2, 1), (1, 2), (1, 3)]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_c1_distance_bounds_the_sampled_distances(theta, rho, plane, seed):
+    map_ = _one_rotation_map(COMPANION, CENTER, plane, rho, theta)
+    rep = map_.c1_distance()
+    c0, c1 = _sampled_distances(map_, 2000, seed)
+    # absolute slack: f x - A x is a difference of coordinates of size 1,
+    # and L R' L^-1 - A one of entries of size |A|; both round at ~1e-16
+    assert c0 <= rep["c0_max"] * (1 + 1e-6) + 1e-14
+    assert c1 <= rep["c1_op_bound"] + 1e-13
+
+
 def test_c1_distance_zero_for_linear(linear_map):
-    rep = linear_map.c1_distance_estimate(samples=200, seed=0)
-    assert rep["estimate"] == 0.0
-    assert rep["samples"] == 200
+    assert linear_map.c1_distance() == {"c0_max": 0.0, "c1_op_bound": 0.0, "bound": 0.0}
 
 
-def test_c1_distance_flags_unsampled_support():
+def test_c1_distance_sees_a_tiny_support():
+    rep = _one_rotation_map(COMPANION, CENTER, (2, 1), 0.004, 0.5).c1_distance()
+    assert rep["c0_max"] > 0.0
+    assert rep["c1_op_bound"] > 0.0
+
+
+def test_c1_distance_of_disjoint_rotations_is_the_larger_one():
     a = UnimodularMatrix(COMPANION)
     eig = eigen_real(a)
-    tiny = build_localized_rotation(eig, center=CENTER, plane=(2, 1), rho=0.004, theta_max=0.5)
-    m = TorusMap(a, [tiny])
-    rep = m.c1_distance_estimate(samples=50, seed=1)
-    assert rep["estimate"] == 0.0
-    assert not rep["support_sampled"]
-
-
-def test_c1_distance_positive_when_support_hit(perturbed_map):
-    rep = perturbed_map.c1_distance_estimate(samples=4000, seed=2)
-    assert rep["support_sampled"]
-    assert rep["estimate"] > 0.01
-    assert rep["c1_op_max"] >= rep["c0_max"]
+    # the first has the larger c1, the second the larger c0
+    rots = [build_localized_rotation(eig, center=CENTER, plane=(2, 1), rho=0.03, theta_max=0.7),
+            build_localized_rotation(eig, center=[0.81, 0.97, 0.12], plane=(1, 2), rho=0.08,
+                                     theta_max=-0.3)]
+    both = TorusMap(a, rots)
+    assert not both.support_overlaps()
+    single = [TorusMap(a, [rot]).c1_distance() for rot in rots]
+    rep = both.c1_distance()
+    assert rep["c0_max"] == single[1]["c0_max"] > single[0]["c0_max"]
+    assert rep["c1_op_bound"] == single[0]["c1_op_bound"] > single[1]["c1_op_bound"]
+    assert rep["bound"] == rep["c0_max"] + rep["c1_op_bound"]
 
 
 # ------------------------------------------------------------- serialization
@@ -493,8 +561,6 @@ def test_apply_matrix_is_rowwise_fixed_order(seed, rows, n):
 
 
 # ------------------------------------------------------------------ orbits
-
-M4 = [[0, 0, 0, 1], [1, 0, 0, 3], [0, 1, 0, -6], [0, 0, 1, -6]]
 
 # (linear part, rotations as (center, plane, rho)): 3-D and 4-D, one and two
 # rotations, planes inside and outside chart plane {1, 2}

@@ -66,14 +66,24 @@ def _load(args):
     return raw, ExperimentConfig.from_dict(raw)
 
 
-def _check_out(path):
+def _report_paths(out, command):
+    # the JSON report, the JSONL run record and the CSV table
+    return [os.path.join(out, name) for name in
+            (f"{command}.json", "runs.jsonl", _COMMANDS[command][0])]
+
+
+def _check_out(path, command):
     # the run's reports are written after the run: an --out that cannot
-    # become a directory fails first
+    # become a directory, or a report name in it that a directory takes,
+    # fails first
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ConfigError(f"--out: {probe} exists and is not a directory")
+    for report in _report_paths(path, command):
+        if os.path.isdir(report):
+            raise ConfigError(f"--out: {report} is a directory")
 
 
 def _sel_label(indices):
@@ -139,12 +149,12 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         raw, cfg = _load(args)
-        _check_out(args.out)
+        _check_out(args.out, args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    csv_name, threaded = _COMMANDS[args.command]
+    threaded = _COMMANDS[args.command][1]
     run = globals()[f"cmd_{args.command}"]
     try:
         report = run(cfg, threads=args.threads) if threaded else run(cfg)
@@ -163,12 +173,11 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"config error: --out: {e}", file=sys.stderr)
         return 2
-    write_report(os.path.join(args.out, f"{args.command}.json"), report)
-    append_run(os.path.join(args.out, "runs.jsonl"),
-               {"command": args.command, "config_digest": config_digest(raw),
-                "seed": cfg.mc["seed"], "report": report})
-    header, rows = _csv_table(args.command, report)
-    write_csv(os.path.join(args.out, csv_name), header, rows)
+    report_path, runs_path, csv_path = _report_paths(args.out, args.command)
+    write_report(report_path, report)
+    append_run(runs_path, {"command": args.command, "config_digest": config_digest(raw),
+                           "seed": cfg.mc["seed"], "report": report})
+    write_csv(csv_path, *_csv_table(args.command, report))
     print(f"{args.command}: {_headline(args.command, report)}; reports in {args.out}")
 
     if args.command == "detect" and report["failed_stage"] is not None:

@@ -16,9 +16,10 @@ class ConfigError(ValueError):
 
 
 def map_error(message):
-    """A ConfigError about config.map. A message that starts with a
-    rotation's path, rotations[k], continues the dotted path."""
-    sep = "." if message.startswith("rotations[") else ": "
+    """A ConfigError about config.map. A message that starts with the
+    path of the rotations or of one rotation, rotations[k], continues the
+    dotted path."""
+    sep = "." if message.startswith(("rotations:", "rotations[")) else ": "
     return ConfigError(f"config.map{sep}{message}")
 
 

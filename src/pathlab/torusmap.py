@@ -62,6 +62,16 @@ def _apply_matrix(points, mat):
     return out
 
 
+def _in_box(y, box):
+    # LocalizedRotation._in_slab on each (axis, center, half-width) of box
+    # in turn, for one point in Python floats
+    for k, c, h in box:
+        d = y[k] - c
+        if abs(d - math.floor(d + 0.5)) > h:
+            return False
+    return True
+
+
 def _chart_radius2(y, center, chart_inv):
     # squared chart radius of one point in Python floats, as locate
     d = [v - c for v, c in zip(y, center)]
@@ -106,15 +116,37 @@ class LocalizedRotation:
         self.rho = float(rho)
         self.theta_max = float(theta_max)
         self.n = len(self.center)
+        # The support's bounding box: d = wrap(x - c) = L u, so |u| < rho
+        # gives |d_i| <= rho |L_i| on each torus axis i (L_i is row i of L).
+        # The 1e-9 relative margin, about 1e-10 absolute, covers what the
+        # computed u carries: chart_inv is the inverse of L only to a few
+        # ulps of cond(L), and u, |u| and the orbit's scalar radius round
+        # at about 1e-15. A row whose computed |u| is below rho is in the box.
+        self.half_widths = self.rho * np.linalg.norm(self.chart, axis=1) * (1.0 + 1e-9)
+        self.box_axes = np.argsort(self.half_widths)
 
     def locate(self, points):
         """The in-support rows of a batch (B, n), with their chart
         coordinates u = L^-1 wrap(x - c) and chart radii |u|: (rows, u, r).
-        transform and differential take it as _located."""
-        u = _apply_matrix(_wrap_half(points - self.center), self.chart_inv)
+        transform and differential take it as _located.
+
+        Rows outside the support's bounding box (half_widths) are dropped
+        first, one torus axis at a time from the narrowest; the chart pass
+        runs on the rows left. Each step is elementwise per row, so every
+        row's u and r are the bits a chart pass over the whole batch gives.
+        """
+        first, *rest = self.box_axes
+        rows = np.flatnonzero(self._in_slab(points[:, first], first))
+        for k in rest:
+            rows = rows[self._in_slab(points[rows, k], k)]
+        u = _apply_matrix(_wrap_half(points[rows] - self.center), self.chart_inv)
         r = np.linalg.norm(u, axis=-1)
-        rows = np.flatnonzero(r < self.rho)
-        return rows, u[rows], r[rows]
+        inside = r < self.rho
+        return rows[inside], u[inside], r[inside]
+
+    def _in_slab(self, coords, k):
+        # |wrap(x_k - c_k)| within the box's half-width on torus axis k
+        return np.abs(_wrap_half(coords - self.center[k])) <= self.half_widths[k]
 
     def transform(self, points, sign, _located=None):
         """Apply the rotation (sign=+1) or its inverse (sign=-1)."""
@@ -318,11 +350,14 @@ class TorusMap:
         """The (n, dim) orbit x0, f x0, ..., f^(n-1) x0, bit for bit the
         points that iterating apply gives.
 
-        A step whose point lies off every support, with a chart-radius
-        margin of 1e-9 relative that covers the scalar rounding, has every
-        rotation exactly the identity: it runs in plain Python floats as
-        A y by ordered_dot, as in _apply_matrix, then _mod1. Every other
-        step goes through apply.
+        A step whose point lies off every support has every rotation
+        exactly the identity: it runs in plain Python floats as A y by
+        ordered_dot, as in _apply_matrix, then _mod1. Every other step goes
+        through apply. A point is off a support when it is outside the
+        support's bounding box (the test locate makes first, in the same
+        floats, with an exit at the first axis that fails), or when its
+        scalar chart radius is at least rho(1 + 1e-9), a margin that
+        covers the scalar rounding.
         """
         n = int(n)
         if n < 1:
@@ -331,13 +366,16 @@ class TorusMap:
         if not scalar:
             raise ValueError("an orbit starts at one point")
         a = self._a.tolist()
-        balls = [(rot.center.tolist(), rot.chart_inv.tolist(),
+        balls = [([(int(k), float(rot.center[k]), float(rot.half_widths[k]))
+                   for k in rot.box_axes],
+                  rot.center.tolist(), rot.chart_inv.tolist(),
                   (rot.rho * (1.0 + 1e-9)) ** 2) for rot in self.rotations]
         out = np.empty((n, self.n))
         y = pts[0].tolist()
         for j in range(n):
             out[j] = y
-            if any(_chart_radius2(y, c, inv) < r2 for c, inv, r2 in balls):
+            if any(_in_box(y, box) and _chart_radius2(y, c, inv) < r2
+                   for box, c, inv, r2 in balls):
                 y = self.apply(out[j]).tolist()
                 continue
             z = []
@@ -521,7 +559,7 @@ class TorusMap:
         linear = UnimodularMatrix(spec["linear"])
         rot_specs = spec.get("rotations", [])
         if not isinstance(rot_specs, list):
-            raise ValueError("'rotations' must be a list")
+            raise ValueError("rotations: must be a list")
         rotations = []
         eig = None
         if rot_specs:

@@ -209,6 +209,14 @@ def test_cli_nan_rotation_field_exit_2(tmp_path, capsys):
     assert "config error: config.map.rotations[0].rho: " in capsys.readouterr().err
 
 
+def test_cli_rotations_not_a_list_exit_2(tmp_path, capsys):
+    cfg = detect_config()
+    cfg["map"]["rotations"] = cfg["map"]["rotations"][0]
+    path = write_config(tmp_path, cfg)
+    assert main(["detect", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: config.map.rotations: must be a list\n"
+
+
 def test_invalid_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "map": {,}\n}\n')
@@ -558,6 +566,19 @@ def test_cli_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("config error: --out: ") and "Traceback" not in err
     assert (tmp_path / "afile").read_text() == "keep"
+
+
+@pytest.mark.parametrize("name", ["analyze.json", "runs.jsonl", "analyze.csv"])
+def test_cli_report_name_taken_by_a_directory_exit_2(tmp_path, capsys, monkeypatch, name):
+    def no_work(config):
+        raise AssertionError("ran before the report names were checked")
+
+    monkeypatch.setattr(cli, "cmd_analyze", no_work)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    cfg_path = write_config(tmp_path, {"map": {"linear": CAT}})
+    assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out: {tmp_path / 'out' / name} is a directory\n"
 
 
 def test_cli_out_that_cannot_be_created_exit_2(tmp_path, capsys):

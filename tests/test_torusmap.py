@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlab.smallmat import DegenerateSpectrum, UnimodularMatrix, eigen_real
@@ -562,15 +562,37 @@ def test_apply_matrix_is_rowwise_fixed_order(seed, rows, n):
 
 # ------------------------------------------------------------------ orbits
 
+# rotations as (center, plane, rho, theta_max) whose centers lie closer to a
+# torus face than their support's bounding box reaches, so the box wraps:
+# axes 1 and 3 of the first, 1 and 2 of the second, 1 and 4 of the 4-D one
+WRAPPING = [([0.04, 0.5, 0.97], (2, 1), 0.1, 0.6), ([0.96, 0.06, 0.45], (1, 3), 0.08, 0.5)]
+WRAPPING_M4 = [([0.03, 0.55, 0.7, 0.96], (1, 2), 0.08, 0.6)]
+
 # (linear part, rotations as (center, plane, rho)): 3-D and 4-D, one and two
-# rotations, planes inside and outside chart plane {1, 2}
+# rotations, planes inside and outside chart plane {1, 2}, wrapping boxes
 ORBIT_MAPS = (
     (COMPANION, [(CENTER, (2, 1), 0.12)]),
     (COMPANION, [(CENTER, (2, 1), 0.05), ([0.81, 0.97, 0.12], (1, 3), 0.08)]),
     (M4, [([0.3, 0.55, 0.7, 0.45], (1, 2), 0.1)]),
     (M4, [([0.3, 0.55, 0.7, 0.45], (2, 1), 0.08),
           ([0.8, 0.05, 0.2, 0.95], (2, 4), 0.06)]),
+    (COMPANION, [rot[:3] for rot in WRAPPING]),
+    (M4, [rot[:3] for rot in WRAPPING_M4]),
 )
+
+# chart radii, as multiples of rho, at which a support touches its bounding
+# box: a few ulps and 1e-9 relative to either side of the boundary
+TANGENT_SCALES = (1.0 - 1e-9, 1.0 - 4e-16, 1.0 + 4e-16, 1.0 + 1e-9)
+
+
+def _tangent_points(rot, scales=TANGENT_SCALES):
+    """Points x = c + L u mod 1 in the 2n chart directions u = +-L_i^T / |L_i|
+    (L_i is row i of L), where the support's chart ball touches its
+    bounding box, at chart radii rho * scale; (2n * len(scales), n)."""
+    dirs = rot.chart / np.linalg.norm(rot.chart, axis=1)[:, None]
+    dirs = np.vstack([dirs, -dirs])
+    u = (dirs[:, None, :] * (rot.rho * np.asarray(scales))[:, None]).reshape(-1, rot.n)
+    return _mod1(rot.center + _apply_matrix(u, rot.chart))
 
 
 def _orbit_map(which):
@@ -595,13 +617,28 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@given(st.integers(0, len(ORBIT_MAPS) - 1), st.sampled_from(["in", "near", "out"]),
+@given(st.integers(0, len(ORBIT_MAPS) - 1),
+       st.sampled_from(["in", "near", "tangent", "out"]),
        st.integers(0, 2**32 - 1), st.floats(-3e-9, 3e-9))
 @settings(max_examples=30, deadline=None)
+@example(0, "tangent", 0, 0.0)
+@example(1, "tangent", 0, 0.0)
+@example(2, "tangent", 0, 0.0)
+@example(3, "tangent", 0, 0.0)
+@example(4, "tangent", 0, 0.0)
+@example(5, "tangent", 0, 0.0)
 def test_orbit_is_iterated_apply_bit_for_bit(which, where, seed, eps):
     map_ = _orbit_map(which)
     rng = np.random.default_rng(seed)
     rot = map_.rotations[rng.integers(len(map_.rotations))]
+    if where == "tangent":
+        # every point where a support touches its box, each a few steps on;
+        # near rho the angle is too small to move a point, so chart radii
+        # 0.9 and 0.98 rho check that the box keeps what the step must rotate
+        for r in map_.rotations:
+            for x0 in _tangent_points(r, (0.9, 0.98) + TANGENT_SCALES):
+                assert _same_bits(map_.orbit(x0, 3), _iterated_apply(map_, x0, 3))
+        return
     if where == "in":
         x0 = map_.sample_support(1, seed)[0]
     elif where == "near":
@@ -619,13 +656,15 @@ def test_orbit_is_iterated_apply_bit_for_bit(which, where, seed, eps):
 
 # (linear part, rotations as (center, plane, rho, theta_max)): 3-D maps with
 # one, two and three rotations, where the first two of the three overlap,
-# and the 4-D map
+# the 4-D map, and 3-D and 4-D maps whose support boxes wrap
 KERNEL_MAPS = (
     (COMPANION, [(CENTER, (2, 1), 0.12, 0.5)]),
     (COMPANION, [(CENTER, (2, 1), 0.05, 0.7), ([0.81, 0.97, 0.12], (1, 3), 0.08, 0.7)]),
     (COMPANION, [(CENTER, (2, 1), 0.10, 0.4), ([0.33, 0.49, 0.60], (3, 2), 0.10, 0.7),
                  ([0.77, 0.13, 0.52], (1, 3), 0.10, 0.3)]),
     (M4, [([0.3, 0.55, 0.7, 0.45], (1, 2), 0.1, 0.6)]),
+    (COMPANION, WRAPPING),
+    (M4, WRAPPING_M4),
 )
 
 
@@ -722,10 +761,14 @@ def test_located_kernel_matches_per_rotation_chart_passes(which, seed, n_out, n_
     u = rng.standard_normal((4, map_.n))
     u *= (rot.rho * (1.0 + rng.uniform(-1e-15, 1e-15, 4)) / np.linalg.norm(u, axis=1))[:, None]
     near = _mod1(rot.center + _apply_matrix(u, rot.chart))
-    # images of support points: their preimages under A are in a support
-    x = np.vstack([rng.random((n_out, map_.n)), inside, near, map_.apply(inside)])
-    x = x[rng.permutation(x.shape[0])]
     a, a_inv = map_.linear.as_float(), map_.linear.inverse().as_float()
+    # where supports touch their boxes, and the images under A of those
+    # points, whose preimages f^-1 locates
+    tangent = np.vstack([_tangent_points(r) for r in map_.rotations])
+    tangent = np.vstack([tangent, _mod1(_apply_matrix(tangent, a))])
+    # images of support points: their preimages under A are in a support
+    x = np.vstack([rng.random((n_out, map_.n)), inside, near, tangent, map_.apply(inside)])
+    x = x[rng.permutation(x.shape[0])]
     lift = x
     for r in reversed(map_.rotations):
         lift = _ref_transform(r, lift, +1)
@@ -745,6 +788,22 @@ def test_located_kernel_matches_per_rotation_chart_passes(which, seed, n_out, n_
         ref_lin, ref_hit, ref_jac = _ref_parts(map_, x, sign)
         assert _same_bits(lin, ref_lin) and np.array_equal(hit, ref_hit)
         assert _same_bits(jac, ref_jac)
+
+
+def test_support_box_holds_the_chart_ball_strictly_and_tightly():
+    rots = [rot for k in range(len(KERNEL_MAPS)) for rot in _kernel_map(k).rotations]
+    rots += [rot for k in range(len(ORBIT_MAPS)) for rot in _orbit_map(k).rotations]
+    rng = np.random.default_rng(11)
+    for rot in rots:
+        dirs = rng.standard_normal((5000, rot.n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        rows = rot.chart / np.linalg.norm(rot.chart, axis=1)[:, None]
+        # d = L u on the chart sphere |u| = rho, in random and tangent directions
+        d = _apply_matrix(rot.rho * np.vstack([dirs, rows, -rows]), rot.chart)
+        assert np.all(np.abs(d) < rot.half_widths)
+        # in the direction L_i^T the sphere reaches face i of the box
+        tangent = np.abs(np.diagonal(d[-2 * rot.n:-rot.n]))
+        assert np.all(tangent > rot.half_widths * (1.0 - 2e-9))
 
 
 def test_orbit_keeps_positive_zero():

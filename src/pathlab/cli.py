@@ -21,7 +21,7 @@ from .experiments import (
     cmd_growth,
     cmd_sweep,
 )
-from .leafgrowth import BadRadius, BudgetExceeded
+from .leafgrowth import BudgetExceeded
 from .reporting import append_run, config_digest, write_csv, write_report
 from .smallmat import DegenerateSpectrum, NonRealSpectrum
 
@@ -37,7 +37,7 @@ _COMMANDS = {
     "sweep": ("sweep.csv", True),
 }
 
-_NUMERIC_ERRORS = (DegenerateSpectrum, NonRealSpectrum, *_DOMAIN_ERRORS, BadRadius)
+_NUMERIC_ERRORS = (DegenerateSpectrum, NonRealSpectrum, *_DOMAIN_ERRORS)
 
 
 def _parser():

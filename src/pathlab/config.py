@@ -5,22 +5,15 @@ and every numeric field is range-checked, so a typo fails fast with a
 dotted-path message instead of silently running the wrong experiment.
 """
 
-import math
+import sys
 from dataclasses import dataclass
 
+from .smallmat import MAX_DIM, MIN_DIM
 from .torusmap import TorusMap
 
 
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range configuration input."""
-
-
-def map_error(message):
-    """A ConfigError about config.map. A message that starts with the
-    path of the rotations or of one rotation, rotations[k], continues the
-    dotted path."""
-    sep = "." if message.startswith(("rotations:", "rotations[")) else ": "
-    return ConfigError(f"config.map{sep}{message}")
 
 
 def _expect_object(value, path):
@@ -29,10 +22,13 @@ def _expect_object(value, path):
     return value
 
 
-def _reject_unknown(obj, path, allowed):
+def _check_keys(obj, path, allowed, required=()):
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{path}.{key}: required")
 
 
 def _int_field(obj, key, path, default, lo):
@@ -46,14 +42,18 @@ def _int_field(obj, key, path, default, lo):
     return v
 
 
+def _number(v, path):
+    """v as a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: must be a number")
+    if not abs(v) <= sys.float_info.max:  # NaN, inf, or an int past the floats
+        raise ConfigError(f"{path}: must be finite")
+    return float(v)
+
+
 def _float_field(obj, key, path):
     """The required number obj[key], finite and greater than 0."""
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: must be a number")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}: must be finite")
+    v = _number(obj[key], f"{path}.{key}")
     if v <= 0.0:
         raise ConfigError(f"{path}.{key}: must be greater than 0.0, got {v}")
     return v
@@ -62,14 +62,7 @@ def _float_field(obj, key, path):
 def _vector(value, path, length=None):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: must be a non-empty array of numbers")
-    out = []
-    for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{path}[{i}]: must be a number")
-        x = float(x)
-        if not math.isfinite(x):
-            raise ConfigError(f"{path}[{i}]: must be finite")
-        out.append(x)
+    out = [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
     if length is not None and len(out) != length:
         raise ConfigError(f"{path}: expected {length} entries, got {len(out)}")
     return out
@@ -92,6 +85,52 @@ def _selector(value, path, n=None):
     return tuple(out)
 
 
+def _int_rows(value, path):
+    """A square matrix of integers, as a list of rows."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: must be a non-empty square array of integer rows")
+    if not MIN_DIM <= len(value) <= MAX_DIM:
+        raise ConfigError(f"{path}: dimension {len(value)} outside [{MIN_DIM}, {MAX_DIM}]")
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != len(value):
+            raise ConfigError(f"{path}[{i}]: must be an array of {len(value)} integers")
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ConfigError(f"{path}[{i}][{j}]: must be an integer")
+    return [list(row) for row in value]
+
+
+_ROTATION_KEYS = ("center", "plane", "rho", "theta_max")
+
+
+def _rotation(value, path, n):
+    """One rotation: the keyword arguments of build_localized_rotation."""
+    obj = _expect_object(value, path)
+    _check_keys(obj, path, _ROTATION_KEYS, required=_ROTATION_KEYS)
+    plane = obj["plane"]
+    if (not isinstance(plane, list) or len(plane) != 2
+            or any(isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= n
+                   for p in plane) or plane[0] == plane[1]):
+        raise ConfigError(
+            f"{path}.plane: must name two distinct eigen indices in 1..{n}, got {plane!r}")
+    return {"center": _vector(obj["center"], f"{path}.center", length=n),
+            "plane": list(plane), "rho": _float_field(obj, "rho", path),
+            "theta_max": _number(obj["theta_max"], f"{path}.theta_max")}
+
+
+def _map(value):
+    """config.map: the linear part's integer rows and the rotations."""
+    obj = _expect_object(value, "config.map")
+    _check_keys(obj, "config.map", ("linear", "rotations"), required=("linear",))
+    linear = _int_rows(obj["linear"], "config.map.linear")
+    rotations = obj.get("rotations", [])
+    if not isinstance(rotations, list):
+        raise ConfigError("config.map.rotations: must be a list")
+    return {"linear": linear,
+            "rotations": [_rotation(r, f"config.map.rotations[{k}]", len(linear))
+                          for k, r in enumerate(rotations)]}
+
+
 _TOP_KEYS = ("map", "selector", "leaf", "mc", "detect", "sweep", "exponents")
 
 # each numeric section's integer keys: default and lower bound
@@ -108,7 +147,7 @@ def _section(raw, name):
     keys = _SECTIONS[name]
     path = f"config.{name}"
     obj = _expect_object(raw.get(name, {}), path)
-    _reject_unknown(obj, path, keys)
+    _check_keys(obj, path, keys)
     return {key: _int_field(obj, key, path, default, lo)
             for key, (default, lo) in keys.items()}
 
@@ -117,9 +156,9 @@ def _section(raw, name):
 class ExperimentConfig:
     """Validated experiment description.
 
-    map_spec stays a plain dict so reports can echo it verbatim; build_map
-    constructs the live object and turns construction failures into
-    ConfigError so the caller sees a single error family for bad input.
+    map_spec is the parsed map; build_map builds it and turns the failures
+    only the built map shows (determinant, spectrum residual, a support
+    that cannot embed) into ConfigError, so bad input has one error family.
     """
 
     map_spec: dict
@@ -133,23 +172,15 @@ class ExperimentConfig:
     def build_map(self) -> TorusMap:
         try:
             return TorusMap.from_dict(self.map_spec)
-        except ConfigError:
-            raise
         except ValueError as e:
-            raise map_error(str(e)) from e
+            raise ConfigError(f"config.map.{e}") from e
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
         raw = _expect_object(raw, "config")
-        _reject_unknown(raw, "config", _TOP_KEYS)
-        if "map" not in raw:
-            raise ConfigError("config.map: required")
-        map_spec = _expect_object(raw["map"], "config.map")
-        _reject_unknown(map_spec, "config.map", ("linear", "rotations"))
-        linear = map_spec.get("linear")
-        if not isinstance(linear, list) or not linear:
-            raise ConfigError("config.map.linear: must be a non-empty matrix")
-        n = len(linear)
+        _check_keys(raw, "config", _TOP_KEYS, required=("map",))
+        map_spec = _map(raw["map"])
+        n = len(map_spec["linear"])
 
         selector = (1,)
         if "selector" in raw:
@@ -164,7 +195,7 @@ class ExperimentConfig:
         sweep = None
         if "sweep" in raw:
             obj = _expect_object(raw["sweep"], "config.sweep")
-            _reject_unknown(obj, "config.sweep", ("theta_max", "rho", "center"))
+            _check_keys(obj, "config.sweep", ("theta_max", "rho", "center"))
             if "theta_max" not in obj or "rho" not in obj:
                 raise ConfigError("config.sweep: needs theta_max and rho arrays")
             thetas = _vector(obj["theta_max"], "config.sweep.theta_max")
@@ -189,10 +220,8 @@ class ExperimentConfig:
     def _leaf(value, n):
         obj = _expect_object(value, "config.leaf")
         allowed = ("points", "radii", "delta", "steps", "budget", "on_budget")
-        _reject_unknown(obj, "config.leaf", allowed)
-        for key in ("points", "radii", "delta", "steps"):
-            if key not in obj:
-                raise ConfigError(f"config.leaf.{key}: required")
+        _check_keys(obj, "config.leaf", allowed,
+                    required=("points", "radii", "delta", "steps"))
         pts = obj["points"]
         if not isinstance(pts, list) or not pts:
             raise ConfigError("config.leaf.points: must be a non-empty array")

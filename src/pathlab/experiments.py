@@ -19,7 +19,7 @@ from .bundles import (
     selector_block,
     strongest_subbundle,
 )
-from .config import ConfigError, ExperimentConfig, map_error
+from .config import ConfigError, ExperimentConfig
 from .homology import (
     BundleSelector,
     NonSimpleTopEigenvalue,
@@ -311,30 +311,6 @@ def cmd_exponents(config: ExperimentConfig, threads=None) -> dict:
     }
 
 
-def _detect_prechecks(map_):
-    bad = chart_line_violation(map_)
-    if bad is None:
-        return
-    if bad[0] == "dimension":
-        raise map_error(
-            "the detector needs at least two expanding "
-            "eigen-directions over a contracting one, so dimension >= 3")
-    if bad[0] == "lambda_2":
-        raise map_error(
-            "the second eigen-direction must expand for the "
-            "weak-unstable foliation to exist")
-    if bad[0] == "plane":
-        raise map_error(
-            f"rotations[{bad[1]}].plane: the detector measures "
-            "the weak-unstable foliation, rotations must mix "
-            "eigen-directions 1 and 2")
-    _, i, j = bad
-    raise map_error(
-        f"rotations[{j}]: support overlaps the support of "
-        f"rotations[{i}] on the torus; the detector samples each "
-        "support separately and needs them disjoint")
-
-
 def _significance(gap, stderr, samples):
     """z = gap / stderr, and the samples a 3-sigma verdict needs at this
     stderr, N (3 stderr / gap)^2; null where the ratio is undefined."""
@@ -357,12 +333,16 @@ def _detect_on_map(map_, config: ExperimentConfig, threads=None) -> dict:
     det = config.detect
     mc = config.mc
     eigen = map_.eigen
-    _detect_prechecks(map_)
+    bad = chart_line_violation(map_)
+    if bad is not None:
+        raise ConfigError("config.map.{}: {}".format(*bad))
     foliation = (2,)
     chi = measurement = None
 
     def volume():
-        pts = map_.sample_uniform(det["preflight_samples"], mc["seed"] + 11)
+        # f = A off the supports, so only in-support points can fail
+        draw = map_.sample_support if map_.rotations else map_.sample_uniform
+        pts = draw(det["preflight_samples"], mc["seed"] + 11)
         dets = np.linalg.det(map_.differential(pts))
         err = float(np.max(np.abs(np.abs(dets) - 1.0)))
         return {"max_abs_det_minus_1": err, "tol": _VOLUME_TOL,
@@ -444,7 +424,7 @@ def cmd_sweep(config: ExperimentConfig, threads=None) -> dict:
     recorded inline; any other exception is a fault and propagates."""
     if config.sweep is None:
         raise ConfigError("config.sweep: required for sweep")
-    if config.map_spec.get("rotations"):
+    if config.map_spec["rotations"]:
         raise ConfigError(
             "config.map.rotations: sweep builds one rotation per grid cell, "
             "the base map must be linear")

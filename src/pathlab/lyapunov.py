@@ -198,18 +198,28 @@ def _frame_run(map_, selector, pts, threads, lines=False):
 
 def chart_line_violation(map_):
     """The first precondition of the chart-metric weak-unstable line that
-    map_ breaks, or None: ("dimension",) below 3 dimensions, ("lambda_2",)
-    when |lambda_2| <= 1, ("plane", k) when rotation k is not in chart plane
-    {1, 2}, ("overlap", i, j) when supports i < j meet."""
+    map_ breaks, as (field, reason) with field the map spec's path of the
+    offender, or None: below 3 dimensions or with |lambda_2| <= 1 the field
+    is "linear"; a rotation k not in chart plane {1, 2} is
+    "rotations[k].plane"; supports i < j that meet are "rotations[j]"."""
     if map_.n < 3:
-        return ("dimension",)
+        return ("linear", "the detector needs at least two expanding "
+                "eigen-directions over a contracting one, so dimension >= 3")
     if abs(map_.eigen.values[1]) <= 1.0:
-        return ("lambda_2",)
+        return ("linear", "the second eigen-direction must expand for the "
+                "weak-unstable foliation to exist")
     for k, rot in enumerate(map_.rotations):
         if set(rot.plane) != {0, 1}:
-            return ("plane", k)
+            return (f"rotations[{k}].plane", "the detector measures the "
+                    "weak-unstable foliation, rotations must mix "
+                    "eigen-directions 1 and 2")
     overlaps = map_.support_overlaps()
-    return ("overlap",) + overlaps[0] if overlaps else None
+    if not overlaps:
+        return None
+    i, j = overlaps[0]
+    return (f"rotations[{j}]", f"support overlaps the support of "
+            f"rotations[{i}] on the torus; the detector samples each "
+            "support separately and needs them disjoint")
 
 
 def chart_line_holds(map_) -> bool:

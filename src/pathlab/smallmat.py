@@ -78,6 +78,13 @@ def int_det(rows) -> int:
     return sign * m[-1][-1]
 
 
+def _check_exact(m, what):
+    # the float map reads A and A^-1 as floats, which hold every integer
+    # exactly only below 2**53 in magnitude
+    if max(abs(x) for row in m for x in row) >= 2 ** 53:
+        raise ValueError(f"{what} must be below 2**53 in magnitude")
+
+
 class UnimodularMatrix:
     """Integer matrix with |det| = 1, validated exactly at construction."""
 
@@ -86,6 +93,7 @@ class UnimodularMatrix:
         n = len(m)
         if not MIN_DIM <= n <= MAX_DIM:
             raise ValueError(f"dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
+        _check_exact(m, "entries")
         d = int_det(m)
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular: det = {d}")
@@ -108,8 +116,9 @@ class UnimodularMatrix:
                 for j in range(n):
                     minor = [row[:j] + row[j + 1:] for ri, row in enumerate(m) if ri != i]
                     adj[j][i] = (-1) ** (i + j) * int_det(minor)
-            inv = np.array([[self.det * adj[i][j] for j in range(n)]
-                            for i in range(n)], dtype=np.int64)
+            inv = [[self.det * adj[i][j] for j in range(n)] for i in range(n)]
+            _check_exact(inv, "entries of the inverse")
+            inv = np.array(inv, dtype=np.int64)
             if not np.array_equal(self.entries @ inv, np.eye(n, dtype=np.int64)):
                 raise ArithmeticError("adjugate inverse is not exact")
             self._inverse = UnimodularMatrix(inv)

@@ -80,23 +80,6 @@ def _chart_radius2(y, center, chart_inv):
     return ordered_dot(u, u)
 
 
-def _finite(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_rotation_spec(k, rs, n):
-    # float() and int() in build_localized_rotation would coerce these silently
-    center, plane = rs["center"], rs["plane"]
-    if not isinstance(center, (list, tuple)) or len(center) != n or not all(map(_finite, center)):
-        raise ValueError(f"rotations[{k}].center: must be {n} finite numbers, got {center!r}")
-    if (not isinstance(plane, (list, tuple)) or len(plane) != 2
-            or any(isinstance(p, bool) or not isinstance(p, int) for p in plane)):
-        raise ValueError(f"rotations[{k}].plane: must be two integers, got {plane!r}")
-    for key in ("rho", "theta_max"):
-        if not _finite(rs[key]):
-            raise ValueError(f"rotations[{k}].{key}: must be a finite number, got {rs[key]!r}")
-
-
 def _mod1(y):
     # y - floor(y) equals y % 1.0 bit for bit (both add the same integer,
     # with the same rounding) at a quarter of the cost
@@ -549,36 +532,22 @@ class TorusMap:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "TorusMap":
-        if not isinstance(spec, dict):
-            raise ValueError("map spec must be an object")
-        unknown = set(spec) - {"linear", "rotations"}
-        if unknown:
-            raise ValueError(f"unknown map keys: {sorted(unknown)}")
-        if "linear" not in spec:
-            raise ValueError("map spec needs a 'linear' matrix")
-        linear = UnimodularMatrix(spec["linear"])
-        rot_specs = spec.get("rotations", [])
-        if not isinstance(rot_specs, list):
-            raise ValueError("rotations: must be a list")
+        """The map of a parsed spec (config checks it): linear, the integer
+        rows of A, and rotations, each the keyword arguments of
+        build_localized_rotation. A ValueError starts with its field,
+        "linear: " or "rotations[k]: "."""
+        try:
+            linear = UnimodularMatrix(spec["linear"])
+            linear.inverse()  # cached for the map; raises out of float range
+            eig = eigen_real(linear) if spec["rotations"] else None
+        except ValueError as e:
+            raise ValueError(f"linear: {e}") from None
         rotations = []
-        eig = None
-        if rot_specs:
-            eig = eigen_real(linear)
-            for k, rs in enumerate(rot_specs):
-                if not isinstance(rs, dict):
-                    raise ValueError(f"rotations[{k}]: must be an object")
-                unknown = set(rs) - {"center", "plane", "rho", "theta_max"}
-                if unknown:
-                    raise ValueError(f"rotations[{k}]: unknown keys {sorted(unknown)}")
-                for key in ("center", "plane", "rho", "theta_max"):
-                    if key not in rs:
-                        raise ValueError(f"rotations[{k}]: missing '{key}'")
-                _check_rotation_spec(k, rs, linear.n)
-                try:
-                    rotations.append(build_localized_rotation(
-                        eig, rs["center"], rs["plane"], rs["rho"], rs["theta_max"]))
-                except ValueError as e:  # SupportTooLarge keeps its type
-                    raise type(e)(f"rotations[{k}]: {e}") from None
+        for k, rs in enumerate(spec["rotations"]):
+            try:
+                rotations.append(build_localized_rotation(eig, **rs))
+            except ValueError as e:  # SupportTooLarge keeps its type
+                raise type(e)(f"rotations[{k}]: {e}") from None
         map_ = cls(linear, rotations)
         map_._eigen = eig
         return map_

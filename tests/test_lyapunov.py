@@ -448,17 +448,23 @@ def test_chart_line_preconditions(calibration_map, linear_map):
     a = UnimodularMatrix(COMPANION)
     eig = eigen_real(a)
     assert chart_line_holds(calibration_map) and chart_line_holds(linear_map)
-    assert chart_line_violation(TorusMap(UnimodularMatrix(CAT))) == ("dimension",)
+    # each violation names the offending field of the map spec
+    field, reason = chart_line_violation(TorusMap(UnimodularMatrix(CAT)))
+    assert field == "linear" and reason.endswith("so dimension >= 3")
     # the inverse has one expanding direction only
-    assert chart_line_violation(TorusMap(a.inverse())) == ("lambda_2",)
+    field, reason = chart_line_violation(TorusMap(a.inverse()))
+    assert field == "linear" and reason.startswith("the second eigen-direction must expand")
     rots = [build_localized_rotation(eig, center=CENTER, plane=(2, 1), rho=0.05,
                                      theta_max=0.3),
             build_localized_rotation(eig, center=[0.81, 0.97, 0.12], plane=(1, 3),
                                      rho=0.05, theta_max=0.3)]
-    assert chart_line_violation(TorusMap(a, rots)) == ("plane", 1)
+    field, reason = chart_line_violation(TorusMap(a, rots))
+    assert field == "rotations[1].plane" and reason.endswith("must mix eigen-directions 1 and 2")
     twin = build_localized_rotation(eig, center=[0.32, 0.47, 0.62], plane=(1, 2),
                                     rho=0.05, theta_max=0.3)
-    assert chart_line_violation(TorusMap(a, [rots[0], twin])) == ("overlap", 0, 1)
+    field, reason = chart_line_violation(TorusMap(a, [rots[0], twin]))
+    assert field == "rotations[1]"
+    assert reason.startswith("support overlaps the support of rotations[0] on the torus")
 
 
 def test_orbit_line_matches_frame_transport(calibration_map, map_4d):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlab import bundles, cli, experiments, lyapunov, torusmap
 from pathlab.bundles import NoGap
@@ -30,6 +32,7 @@ from pathlab.experiments import (
 )
 from pathlab.homology import NonSimpleTopEigenvalue
 from pathlab.lyapunov import DegenerateFrame
+from pathlab.smallmat import DegenerateSpectrum, NonRealSpectrum, int_det
 
 CAT = [[2, 1], [1, 1]]
 COMPANION = [[0, 0, 1], [1, 0, -6], [0, 1, 5]]
@@ -183,13 +186,16 @@ def test_config_defaults_filled():
 def test_rotation_fields_must_be_finite_numbers(key, value):
     cfg = detect_config()
     cfg["map"]["rotations"][0][key] = value
-    with pytest.raises(ConfigError, match=rf"^config\.map\.rotations\[0\]\.{key}: "):
+    # a bad center entry is named by its index
+    field = "center[0]" if key == "center" else key
+    with pytest.raises(ConfigError,
+                       match=rf"^config\.map\.rotations\[0\]\.{re.escape(field)}: "):
         ExperimentConfig.from_dict(cfg).build_map()
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("plane", [2, 2], "plane must name two distinct eigen indices"),
-    ("rho", 0.45, "2 * rho * |L| = "),
+    ("plane", [2, 2], ".plane: must name two distinct eigen indices in 1..3"),
+    ("rho", 0.45, ": 2 * rho * |L| = "),
 ], ids=["plane", "rho"])
 def test_rotation_builder_errors_name_the_rotation(key, value, message):
     cfg = detect_config()
@@ -197,7 +203,7 @@ def test_rotation_builder_errors_name_the_rotation(key, value, message):
     second[key] = value
     cfg["map"]["rotations"].append(second)
     with pytest.raises(ConfigError,
-                       match=rf"^config\.map\.rotations\[1\]: {re.escape(message)}"):
+                       match=rf"^config\.map\.rotations\[1\]{re.escape(message)}"):
         ExperimentConfig.from_dict(cfg).build_map()
 
 
@@ -215,6 +221,126 @@ def test_cli_rotations_not_a_list_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["detect", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: config.map.rotations: must be a list\n"
+
+
+_MAP_MESSAGES = {
+    "ragged": ({"linear": [[0, 0, 1], [1, 0], [0, 1, 5]]},
+               "config.map.linear[1]: must be an array of 3 integers"),
+    "non-square": ({"linear": [[0, 0, 1], [1, 0, -6]]},
+                   "config.map.linear[0]: must be an array of 2 integers"),
+    "Infinity": ({"linear": [[0, 0, 1], [1, 0, math.inf], [0, 1, 5]]},
+                 "config.map.linear[1][2]: must be an integer"),
+    "object": ({"linear": [[0, 0, 1], [1, 0, {}], [0, 1, 5]]},
+               "config.map.linear[1][2]: must be an integer"),
+    "true": ({"linear": [[0, 0, 1], [1, 0, True], [0, 1, 5]]},
+             "config.map.linear[1][2]: must be an integer"),
+    "2.0": ({"linear": [[0, 0, 1], [1, 0, 2.0], [0, 1, 5]]},
+            "config.map.linear[1][2]: must be an integer"),
+    "1e30": ({"linear": [[0, 0, 1], [1, 0, 10 ** 30], [0, 1, 5]]},
+             "config.map.linear: entries must be below 2**53 in magnitude"),
+    "inverse-2**80": ({"linear": [[1, 2 ** 40, 0], [0, 1, 2 ** 40], [0, 0, 1]]},
+                      "config.map.linear: entries of the inverse must be below 2**53 "
+                      "in magnitude"),
+    "9x9": ({"linear": [[int(i == j) for j in range(9)] for i in range(9)]},
+            "config.map.linear: dimension 9 outside [2, 8]"),
+    "det-3": ({"linear": [[2, 1], [1, 2]]},
+              "config.map.linear: matrix is not unimodular: det = 3"),
+    "plane-0-1": ({"plane": [0, 1]}, "config.map.rotations[0].plane: must name two "
+                  "distinct eigen indices in 1..3, got [0, 1]"),
+    "plane-2-2": ({"plane": [2, 2]}, "config.map.rotations[0].plane: must name two "
+                  "distinct eigen indices in 1..3, got [2, 2]"),
+    "plane-2.7-1": ({"plane": [2.7, 1]}, "config.map.rotations[0].plane: must name two "
+                    "distinct eigen indices in 1..3, got [2.7, 1]"),
+    "rho-0": ({"rho": 0}, "config.map.rotations[0].rho: must be greater than 0.0, got 0.0"),
+    "rho-string": ({"rho": "0.12"}, "config.map.rotations[0].rho: must be a number"),
+    "rho-NaN": ({"rho": math.nan}, "config.map.rotations[0].rho: must be finite"),
+    "rho-1e400": ({"rho": 10 ** 400}, "config.map.rotations[0].rho: must be finite"),
+    "support-too-large": ({"rho": 0.45}, "config.map.rotations[0]: 2 * rho * |L| = "
+                          "1.4791 >= 1; support cannot embed"),
+    "lattice-point": ({"center": [0.0, 0.0, 0.0]}, "config.map.rotations[0]: lattice "
+                      "point inside support: chart distance 0.0000 < rho"),
+    "dimension": ({"linear": CAT}, "config.map.linear: the detector needs at least two "
+                  "expanding eigen-directions over a contracting one, so dimension >= 3"),
+    "lambda_2": ({"linear": [[6, -5, 1], [1, 0, 0], [0, 1, 0]]},
+                 "config.map.linear: the second eigen-direction must expand for the "
+                 "weak-unstable foliation to exist"),
+    "mixing-plane": ({"plane": [3, 1]}, "config.map.rotations[0].plane: the detector "
+                     "measures the weak-unstable foliation, rotations must mix "
+                     "eigen-directions 1 and 2"),
+    "overlap": ({"overlap": True}, "config.map.rotations[1]: support overlaps the support "
+                "of rotations[0] on the torus; the detector samples each support "
+                "separately and needs them disjoint"),
+}
+
+
+@pytest.mark.parametrize("row", list(_MAP_MESSAGES))
+def test_cli_map_errors_name_their_field(tmp_path, capsys, row):
+    # a linear row replaces the map; any other row edits the one rotation,
+    # or adds a second one over it
+    change, message = _MAP_MESSAGES[row]
+    cfg = detect_config(samples=100)
+    if "linear" in change:
+        cfg["map"] = change
+    elif "overlap" in change:
+        cfg["map"]["rotations"].append({"center": [CENTER[0] + 0.01, CENTER[1], CENTER[2]],
+                                        "plane": [1, 2], "rho": 0.05, "theta_max": 0.2})
+    else:
+        cfg["map"]["rotations"][0].update(change)
+    path = write_config(tmp_path, cfg)
+    assert main(["detect", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# each value is wrong for some field of the map spec: a wrong type, a
+# non-finite or out-of-range number, or an integer that breaks |det| = 1
+_BAD_VALUES = [None, True, math.inf, math.nan, "0.12", {}, [], [[1]], [[[1, 2]]],
+               10 ** 30, 0, 2, 3, -7]
+_MAP_FIELDS = ([("linear", i, j) for i in range(3) for j in range(3)]
+               + [("linear",), ("rotations",), ("rotations", 0), ("extra",),
+                  ("rotations", 0, "extra")]
+               + [("rotations", 0, key) for key in ("center", "plane", "rho", "theta_max")])
+
+
+def _field_path(field):
+    return "config.map" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                                  for p in field)
+
+
+@given(field=st.sampled_from(_MAP_FIELDS), value=st.sampled_from(_BAD_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_map_parser_names_the_field_of_any_bad_value(field, value):
+    cfg = json.loads(json.dumps(detect_config()))  # a copy that owns its matrix
+    *parents, key = field
+    obj = cfg["map"]
+    for p in parents:
+        obj = obj[p]
+    obj[key] = value
+    path = _field_path(field)
+    if key == "extra":
+        # an unknown key is named on the object that holds it
+        prefixes = [_field_path(parents) + ": unknown keys ['extra']"]
+    else:
+        # TorusMap.from_dict's errors name the matrix, or the whole rotation
+        owner = field[:1] if field[0] == "linear" else field[:2]
+        prefixes = [path + sep for sep in (": ", "[", ".")] + [_field_path(owner) + ": "]
+    # values the spec admits: any finite theta_max, no rotations, and an
+    # integer entry that keeps |det| = 1 (the spectrum or a rotation's
+    # embedding may then still fail)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    unimodular = (field[0] == "linear" and len(field) == 3 and number
+                  and isinstance(value, int) and abs(int_det(cfg["map"]["linear"])) == 1)
+    admitted = (key == "theta_max" and number and math.isfinite(value)
+                or (field == ("rotations",) and value == []) or unimodular)
+    if unimodular:
+        prefixes.append("config.map.rotations[0]: ")
+    try:
+        ExperimentConfig.from_dict(cfg).build_map()
+    except ConfigError as e:
+        assert str(e).startswith(tuple(prefixes)), (field, value, str(e))
+    except (NonRealSpectrum, DegenerateSpectrum):
+        assert unimodular, (field, value)
+    else:
+        assert admitted, (field, value)
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):
@@ -357,7 +483,7 @@ def test_exponents_transports_the_uniform_samples_once_per_rung(monkeypatch):
 def test_detect_requires_expanding_second_direction():
     cfg = {"map": {"linear": [[6, -5, 1], [1, 0, 0], [0, 1, 0]]},
            "mc": {"samples": 100}}
-    with pytest.raises(ConfigError, match=r"config\.map: the second eigen-direction"):
+    with pytest.raises(ConfigError, match=r"^config\.map\.linear: the second eigen-direction"):
         cmd_detect(ExperimentConfig.from_dict(cfg))
 
 
@@ -468,6 +594,20 @@ def test_detect_wild_rotation_is_inconclusive():
     assert rep["failed_stage"] == "domination"
     assert rep["preflights"]["domination"]["passed"] is False
     assert rep["gap"] is None
+
+
+def test_volume_preflight_reads_the_rotation_supports(monkeypatch):
+    # f = A off the supports, so a Jacobian whose determinant is off 1 can
+    # only be found by points inside them
+    real = torusmap.LocalizedRotation.differential
+
+    def scaled(self, points, sign, _located=None):
+        return real(self, points, sign, _located) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(torusmap.LocalizedRotation, "differential", scaled)
+    rep = cmd_detect(ExperimentConfig.from_dict(detect_config()))
+    assert rep["failed_stage"] == "volume"
+    assert rep["preflights"]["volume"]["max_abs_det_minus_1"] == pytest.approx(3e-6, rel=1e-5)
 
 
 def test_detect_requires_mixing_plane():

@@ -3,6 +3,7 @@
 The differential is checked against a central finite-difference oracle, and
 volume preservation against LAPACK determinants of the assembled Jacobians.
 """
+import re
 from functools import partial
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathlab.config import ConfigError, ExperimentConfig
 from pathlab.smallmat import DegenerateSpectrum, UnimodularMatrix, eigen_real
 from pathlab.torusmap import (
     SupportTooLarge,
@@ -383,11 +385,13 @@ def test_json_round_trip(perturbed_map):
 
 
 def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown"):
-        TorusMap.from_dict({"linear": CAT, "rotations": [], "extra": 1})
+    # the config loader parses the map spec that from_dict builds
+    with pytest.raises(ConfigError, match=re.escape("config.map: unknown keys ['extra']")):
+        ExperimentConfig.from_dict({"map": {"linear": CAT, "rotations": [], "extra": 1}})
     bad_rot = {"center": [0.3, 0.4], "plane": [1, 2], "rho": 0.1, "theta_max": 0.2, "x": 0}
-    with pytest.raises(ValueError, match="unknown"):
-        TorusMap.from_dict({"linear": CAT, "rotations": [bad_rot]})
+    with pytest.raises(ConfigError,
+                       match=re.escape("config.map.rotations[0]: unknown keys ['x']")):
+        ExperimentConfig.from_dict({"map": {"linear": CAT, "rotations": [bad_rot]}})
 
 
 def test_cat_map_rotation_round_trip():

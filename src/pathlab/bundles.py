@@ -268,13 +268,12 @@ def _block_frames(map_, xs, bounds):
     return [built[b][0] for b in bounds], [built[b][1] for b in bounds], depth
 
 
-def _split_status(blocks, statuses):
+def _split_status(statuses, volume):
     """One status per sample for blocks that split the whole space: the
     worst block status, or DEGENERATE where together they span a volume
-    below 1e-6."""
+    below 1e-6 (volume, the k_volume of the concatenated blocks)."""
     status = np.max(statuses, axis=0)
-    vol = k_volume(np.concatenate(blocks, axis=2))
-    return np.where((vol < 1e-6) & (status == OK), STATUS_DEGENERATE, status).astype(np.int8)
+    return np.where((volume < 1e-6) & (status == OK), STATUS_DEGENERATE, status).astype(np.int8)
 
 
 def splitting_frames(map_, xs, dims):
@@ -289,7 +288,8 @@ def splitting_frames(map_, xs, dims):
         raise ValueError(f"block dimensions {dims} must be positive and sum to {n}")
     ends = np.cumsum(dims).tolist()
     blocks, statuses, depth = _block_frames(map_, xs, [(e - d + 1, e) for d, e in zip(dims, ends)])
-    return blocks, _split_status(blocks, statuses), depth
+    volume = k_volume(np.concatenate(blocks, axis=2))
+    return blocks, _split_status(statuses, volume), depth
 
 
 def selector_block(selector: BundleSelector):

@@ -43,6 +43,7 @@ from .bundles import (
 )
 from .homology import BundleSelector
 from .smallmat import k_volume
+from .torusmap import bump_profile
 
 CHUNK = 20000
 
@@ -175,11 +176,12 @@ def _frame_values(map_, xs, selector, lines=False):
     out = (v, status.astype(np.int8), frames_depth)
     if not lines:
         return out
-    line_status = _split_status(blocks, statuses)
     v = np.concatenate(blocks, axis=2)
     w = np.einsum("bij,bjk->bik", jac, v)
     rv = np.abs(np.diagonal(np.linalg.qr(v, mode="r"), axis1=1, axis2=2))
     rw = np.abs(np.diagonal(np.linalg.qr(w, mode="r"), axis1=1, axis2=2))
+    # k_volume(v) bit for bit: |prod d| = prod |d| in floating point
+    line_status = _split_status(statuses, np.prod(rv, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.log(rw) - np.log(rv)
     vals[line_status != OK] = 0.0
@@ -304,46 +306,42 @@ def _line_values(map_, xs, steps):
     return g, g0, returned, status
 
 
-# nested tensor rules (nt, nalpha, nv) for the twist integral (twist_mean).
-# The coarse rule alone is converged below 1e-13 relative on the
-# calibration map, so |fine - coarse| is a conservative error bar for the
-# fine value. Once R'11 nears 0 in the chart ball (theta_max about 1.5 on
-# that ball) g0 has a log singularity, convergence is only algebraic, and
-# the error bar is an estimate, not a bound.
-_TWIST_RULES = ((80, 24, 24), (160, 48, 48))
-# radial nodes per slab of the twist rules
-_SLAB = 4
+# Gauss-Legendre nodes per panel in (t, w), and the panels per axis of the
+# coarse and the fine twist rule. Once R'11 nears 0 in the chart ball
+# (theta_max about 1.5) the angle mean has a square-root kink, convergence
+# is only algebraic, and |fine - coarse| is an estimate, not a bound.
+_TWIST_NODES = (80, 24)
+_TWIST_RULES = (1, 4)
 
 
-def twist_mean(rot, rule) -> float:
+def _panel_rule(nodes, panels):
+    # Gauss-Legendre points and weights on panels equal panels of [0, 1]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
+    return x.ravel(), np.tile(0.5 * w / panels, panels)
+
+
+def twist_mean(rot, panels) -> float:
     """Mean of g0 = -ln|R'11(u)| over the rotation's chart ball of radius
-    rho, by the tensor rule rule = (nt, nalpha, nv), one radial slab at a
-    time.
+    rho, by the _TWIST_NODES Gauss rule on panels panels per axis.
 
-    g0 depends on u only through t = |u|/rho and (u1, u2) = |u| sqrt(s)
-    (cos alpha, sin alpha), with s ~ Beta(1, (n-2)/2): s = 1 - (1-v)^(2/(n-2))
-    for v uniform. The v rule runs in w = (1-v)^(1/(n-2)), where s = 1 - w^2
-    and dv = (n-2) w^(n-3) dw, so its integrand is smooth in every dimension.
+    Write t = |u|/rho and (u1, u2) = |u| sqrt(s) (cos alpha, sin alpha),
+    with s = 1 - w^2. Then R'11 = a - k sin(2 alpha +- psi), in either plane
+    order, with k = psi'(r) r s / 2 and a = cos psi - k sin psi, and Jensen's
+    formula gives its log-mean over alpha: ln((|a| + sqrt(a^2 - k^2)) / 2)
+    where |a| >= |k|, else ln(|k| / 2). t has density n t^(n-1) and w has
+    (n-2) w^(n-3), as s ~ Beta(1, (n-2)/2).
     """
-    nt, na, nv = rule
     n = rot.n
-    x, w = np.polynomial.legendre.leggauss(nt)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w * n * t ** (n - 1)
-    x, w = np.polynomial.legendre.leggauss(nv)
-    root = 0.5 * (x + 1.0)
-    wv = 0.5 * w * (n - 2) * root ** (n - 3)
-    # g0 sees (u1, u2) only through quadratic terms: alpha has period pi
-    alpha = np.pi * np.arange(na) / na
-    radial = np.sqrt(1.0 - root * root)[:, None]
-    e1 = radial * np.cos(alpha)
-    e2 = radial * np.sin(alpha)
-    total = 0.0
-    for lo in range(0, nt, _SLAB):
-        r = rot.rho * t[lo:lo + _SLAB, None, None]
-        b11 = rot.chart_block(r * e1, r * e2, r)[0]
-        total += float(wt[lo:lo + _SLAB] @ (np.log(np.abs(b11)).sum(axis=2) @ wv))
-    return -total / na
+    (t, wt), (w, ww) = (_panel_rule(m, panels) for m in _TWIST_NODES)
+    psi, dpsi = bump_profile(rot.rho * t, rot.rho, rot.theta_max)
+    k = 0.5 * (dpsi * rot.rho * t)[:, None] * (1.0 - w * w)
+    a = np.abs(np.cos(psi)[:, None] - k * np.sin(psi)[:, None])
+    k = np.abs(k)
+    # a + root >= k exactly where a >= k
+    root = np.sqrt(np.maximum((a - k) * (a + k), 0.0))
+    log_mean = np.log(0.5 * np.maximum(a + root, k))
+    return -float((wt * n * t ** (n - 1)) @ log_mean @ (ww * (n - 2) * w ** (n - 3)))
 
 
 def twist_term(map_):

@@ -13,6 +13,7 @@ the last axis.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import product
 
 import numpy as np
@@ -230,16 +231,25 @@ def build_localized_rotation(eigen: EigenData, center, plane, rho, theta_max) ->
     plane names two eigen-chart axes, 1-based, ordered by decreasing
     eigenvalue modulus. Raises SupportTooLarge when the support ellipsoid
     cannot embed in the torus, ValueError when a lattice point would fall
-    inside the support (that would break exact lattice equivariance).
+    inside the support (that would break exact lattice equivariance), and a
+    ValueError naming the argument when center is not n numbers, plane not
+    two distinct integers in 1..n, rho not finite and positive, or theta_max
+    not finite.
     """
     n = eigen.n
     center = np.asarray(center, dtype=float)
     if center.shape != (n,):
         raise ValueError(f"center must have shape ({n},), got {center.shape}")
+    if len(plane) != 2 or any(isinstance(p, bool) or not isinstance(p, numbers.Integral)
+                              for p in plane):
+        raise ValueError(f"plane must be two integers, got {plane!r}")
     i, j = (int(p) for p in plane)
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"plane must name two distinct eigen indices in 1..{n}, got {plane}")
-    rho = float(rho)
+    rho, theta_max = float(rho), float(theta_max)
+    for name, value in (("rho", rho), ("theta_max", theta_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if rho <= 0:
         raise ValueError("rho must be positive")
     chart = eigen.vectors

@@ -29,9 +29,15 @@ from pathlab.lyapunov import (
     splitting_exponents,
     support_gap,
     twist_mean,
+    twist_term,
 )
 from pathlab.smallmat import UnimodularMatrix, eigen_real
-from pathlab.torusmap import LocalizedRotation, TorusMap, build_localized_rotation
+from pathlab.torusmap import (
+    LocalizedRotation,
+    TorusMap,
+    build_localized_rotation,
+    bump_profile,
+)
 
 CAT = [[2, 1], [1, 1]]
 COMPANION = [[0, 0, 1], [1, 0, -6], [0, 1, 5]]
@@ -416,6 +422,77 @@ def test_twist_mean_matches_monte_carlo(calibration_map, map_4d):
         sigma = g0.std(ddof=1) / math.sqrt(g0.size)
         want = twist_mean(map_.rotations[0], _TWIST_RULES[1])
         assert abs(g0.mean() - want) <= 3.0 * sigma
+
+
+def tensor_twist_mean(rot, rule):
+    # reference: g0's ball mean by a tensor rule (nt, nalpha, nv) in
+    # (t, alpha, w) on the rotation's own chart block, alpha by the trapezoid
+    nt, na, nv = rule
+    n = rot.n
+    x, w = np.polynomial.legendre.leggauss(nt)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * w * n * t ** (n - 1)
+    x, w = np.polynomial.legendre.leggauss(nv)
+    root = 0.5 * (x + 1.0)
+    wv = 0.5 * w * (n - 2) * root ** (n - 3)
+    alpha = np.pi * np.arange(na) / na
+    radial = np.sqrt(1.0 - root * root)[:, None]
+    r = rot.rho * t[:, None, None]
+    b11 = rot.chart_block(r * radial * np.cos(alpha), r * radial * np.sin(alpha), r)[0]
+    return -float(wt @ (np.log(np.abs(b11)).sum(axis=2) @ wv)) / na
+
+
+def with_theta(spec, theta):
+    spec = json.loads(json.dumps(spec))
+    for rot in spec["rotations"]:
+        rot["theta_max"] = theta
+    return TorusMap.from_dict(spec)
+
+
+def test_twist_mean_matches_tensor_rule(map_4d):
+    rots = [with_theta(CALIBRATION["map"], theta).rotations[0] for theta in (0.5, 1.0)]
+    for rot in rots + [map_4d.rotations[0]]:
+        want = tensor_twist_mean(rot, (160, 48, 48))
+        for rule in _TWIST_RULES:
+            assert abs(twist_mean(rot, rule) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
+def test_twist_error_bar_covers_the_error_past_the_zero_set(theta):
+    # R'11 vanishes inside the ball from theta_max about 1.5 on: the angle
+    # mean has a kink there and the rules converge only algebraically
+    rot = with_theta(CALIBRATION["map"], theta).rotations[0]
+    coarse, fine = (twist_mean(rot, rule) for rule in _TWIST_RULES)
+    ref, half = twist_mean(rot, 64), twist_mean(rot, 32)
+    assert abs(ref - half) <= 0.1 * abs(fine - coarse)
+    assert abs(fine - ref) <= abs(fine - coarse)
+
+
+@pytest.mark.parametrize("theta", [2.0, 4.0, 8.0])
+def test_twist_mean_matches_monte_carlo_past_the_zero_set(theta):
+    # R'11 changes sign on part of the angle circles: there the angle mean
+    # is ln(|k| / 2), and past |psi| = pi the bump turns the plane over
+    map_ = with_theta(CALIBRATION["map"], theta)
+    pts = map_.sample_support(200000, 6)
+    g0 = -np.log(np.abs(map_.chart_blocks(pts)[0, 0]))
+    sigma = g0.std(ddof=1) / math.sqrt(g0.size)
+    assert abs(g0.mean() - twist_mean(map_.rotations[0], _TWIST_RULES[1])) <= 3.0 * sigma
+
+
+def test_twist_term_second_order_coefficient(map_4d):
+    # twist_term / theta^2 -> vol E_t[(t phi'(t))^2] / (2 n (n + 2)) with
+    # t ~ n t^(n-1) and phi the bump of theta_max 1 and rho 1
+    x, w = np.polynomial.legendre.leggauss(200)
+    t = 0.5 * (x + 1.0)
+    dphi = bump_profile(t, 1.0, 1.0)[1]
+    for base in (CALIBRATION["map"], map_4d.to_dict()):
+        n = len(base["linear"])
+        moment = float(0.5 * w @ (n * t ** (n - 1) * (t * dphi) ** 2))
+        c2 = with_theta(base, 1.0).support_volume * moment / (2 * n * (n + 2))
+        rel = [abs(twist_term(with_theta(base, theta))[0] / theta ** 2 - c2) / c2
+               for theta in (0.02, 0.01)]
+        assert 3.5 < rel[0] / rel[1] < 4.5
+        assert rel[1] < 1e-4
 
 
 def test_support_gap_matches_calibration(calibration_map):

@@ -2,6 +2,7 @@
 cross-thread byte determinism."""
 
 import ast
+import copy
 import importlib.util
 import json
 import math
@@ -44,7 +45,7 @@ LAMBDA2 = 1.5549581320873718
 
 def cat_config(**extra):
     base = {
-        "map": {"linear": CAT},
+        "map": {"linear": copy.deepcopy(CAT)},
         "selector": [1],
         "leaf": {"points": [[0.1, 0.2], [0.35, 0.6]], "radii": [0.008],
                  "delta": 0.005, "steps": 8, "budget": 200000},
@@ -58,10 +59,10 @@ def cat_config(**extra):
 def detect_config(theta=0.5, samples=4000):
     rotations = []
     if theta > 0:
-        rotations = [{"center": CENTER, "plane": [2, 1], "rho": 0.12,
+        rotations = [{"center": list(CENTER), "plane": [2, 1], "rho": 0.12,
                       "theta_max": theta}]
     return {
-        "map": {"linear": COMPANION, "rotations": rotations},
+        "map": {"linear": copy.deepcopy(COMPANION), "rotations": rotations},
         "mc": {"samples": samples, "seed": 0},
         "detect": {"preflight_samples": 100},
     }

@@ -79,6 +79,30 @@ def test_plane_indices_validated():
             build_localized_rotation(eig, center=CENTER, plane=plane, rho=0.1, theta_max=0.1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("plane", (2.7, 1), "plane must be two integers"),
+    ("plane", (2.0, 1), "plane must be two integers"),
+    ("plane", (True, 2), "plane must be two integers"),
+    ("plane", (2, 1, 3), "plane must be two integers"),
+    ("rho", float("nan"), "rho must be finite"),
+    ("rho", float("inf"), "rho must be finite"),
+    ("theta_max", float("nan"), "theta_max must be finite"),
+    ("theta_max", float("-inf"), "theta_max must be finite"),
+])
+def test_rotation_builder_rejects_malformed_arguments(field, value, message):
+    eig = eigen_real(UnimodularMatrix(COMPANION))
+    args = {"center": CENTER, "plane": (2, 1), "rho": 0.12, "theta_max": 0.5}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build_localized_rotation(eig, **{**args, field: value})
+
+
+def test_rotation_builder_takes_numpy_integer_planes():
+    eig = eigen_real(UnimodularMatrix(COMPANION))
+    rot = build_localized_rotation(eig, center=CENTER, plane=np.array([2, 1]), rho=0.12,
+                                   theta_max=0.5)
+    assert rot.plane == (1, 0)
+
+
 def test_pure_linear_map_needs_no_eigen_data():
     # identity linear part: spectrum is degenerate, but a rotation-free map
     # never touches it
